@@ -12,6 +12,15 @@ echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "== crate tests: BST + Harris list unit tests (allocation and leak regressions)"
+cargo test -q --release -p pto-bst -p pto-list
+
+echo "== lincheck: linearizability of every structure variant (crates/check/tests)"
+cargo test -q --release -p pto-check --test lincheck
+
+echo "== benchmark check: smoke run of all four benchmark workloads"
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --check
+
 echo "== trace smoke: tiny traced benchmark + Chrome-JSON structural check"
 cargo run -q --release -p pto-bench --bin trace_smoke
 

@@ -34,7 +34,7 @@ use pto_core::ConcurrentSet;
 use pto_htm::{TxResult, TxWord, Txn};
 use pto_mem::epoch::{self, Guard};
 use pto_mem::{Pool, NIL};
-use pto_sim::{charge_n, CostKind};
+use std::cell::Cell;
 use std::sync::atomic::Ordering;
 
 /// +∞ routing sentinel.
@@ -94,6 +94,27 @@ fn clean_recycle(prev: u64) -> u64 {
     up_pack(ST_CLEAN, NIL, up_count(prev) + 1)
 }
 
+/// Child-word layout: [tag:32][node:32]. Every write that swings a child
+/// bumps the tag, so a child word never returns to a value a stalled
+/// helper may still CAS against. Without it the insert-helping CAS is ABA
+/// prone: after `insert(k)` links internal `ni` over leaf `l` and
+/// `remove(k)` prunes `ni` again, the parent's child is `l` once more,
+/// and a late helper of the insert re-links the pruned, marked `ni`
+/// (resurrecting `k` under a descriptor that has since been recycled, so
+/// no helper can clean it and every op routed through it livelocks).
+/// Ellen et al. avoid this by linking a fresh *copy* of `l`; tagging
+/// costs no extra allocation. Leaf children stay exactly `NIL_LINK`.
+#[inline]
+fn link_idx(w: u64) -> u32 {
+    w as u32
+}
+
+/// Child word `w` swung to `n`, with the tag advanced.
+#[inline]
+fn link_bump(w: u64, n: u32) -> u64 {
+    (((w >> 32) + 1) & 0xFFFF_FFFF) << 32 | n as u64
+}
+
 /// A tree node; leaves have `NIL` children. Slots are recycled through the
 /// epoch-deferred pool.
 pub struct BstNode {
@@ -115,15 +136,17 @@ impl Default for BstNode {
 }
 
 /// An operation descriptor (Ellen et al.'s IInfo/DInfo), enabling helping.
-/// Fields are plain atomics (descriptors are never accessed inside prefix
-/// transactions); reads/writes are charged explicitly.
+/// Descriptors are never accessed inside prefix transactions.
 #[derive(Default)]
 pub struct Info {
     /// 0 = insert, 1 = delete.
     kind: TxWord,
     gp: TxWord,
     p: TxWord,
-    l: TxWord,
+    /// The child word the op swings away from: `p → l` for an insert,
+    /// `gp → p` for a delete.
+    link: TxWord,
+    /// Insert only: the child word that links the new internal node.
     ni: TxWord,
     pupdate: TxWord,
     /// The DFLAG word installed at gp (lets MARK observers finish the job).
@@ -131,6 +154,12 @@ pub struct Info {
     gp_slot: TxWord,
     p_slot: TxWord,
 }
+
+/// An insert's private (internal, leaf) pair: empty until an attempt has
+/// proven the key absent and the parent CLEAN, then reused by every later
+/// attempt of the same operation. An insert that finds its key therefore
+/// allocates nothing.
+type InsertPair = Cell<Option<(u32, u32)>>;
 
 /// Result of one update attempt.
 enum Attempt {
@@ -141,8 +170,9 @@ enum Attempt {
     Stale,
 }
 
-/// Search snapshot: leaf, parent, grandparent, their update words, and
-/// which child slot each path edge used (0 = left, 1 = right).
+/// Search snapshot: leaf, parent, grandparent, their update words, the
+/// tagged child words of the `gp → p` and `p → l` edges, and which child
+/// slot each edge used (0 = left, 1 = right).
 #[derive(Clone, Copy, Debug)]
 struct Snap {
     gp: u32,
@@ -150,6 +180,8 @@ struct Snap {
     l: u32,
     gpu: u64,
     pu: u64,
+    pw: u64,
+    lw: u64,
     gp_slot: u64,
     p_slot: u64,
 }
@@ -290,22 +322,25 @@ impl Bst {
     fn search(&self, k: u32, _g: &Guard) -> Snap {
         let mut gp;
         let mut gpu;
+        let mut pw;
         let mut gp_slot;
         let mut p = self.grandroot;
         let mut pu = self.node(p).update.load(Ordering::Acquire);
         let mut p_slot = 0u64;
-        let mut l = self.node(p).left.load(Ordering::Acquire) as u32;
+        let mut lw = self.node(p).left.load(Ordering::Acquire);
         loop {
             // First iteration: l is the root internal node, so we always
             // execute at least once and gp is always initialized.
             gp = p;
             gpu = pu;
+            pw = lw;
             gp_slot = p_slot;
-            p = l;
+            p = link_idx(lw);
             pu = self.node(p).update.load(Ordering::Acquire);
             let pk = self.node(p).key.load(Ordering::Acquire) as u32;
             p_slot = if k < pk { 0 } else { 1 };
-            l = self.child_word(p, p_slot).load(Ordering::Acquire) as u32;
+            lw = self.child_word(p, p_slot).load(Ordering::Acquire);
+            let l = link_idx(lw);
             if self.is_leaf(l) {
                 return Snap {
                     gp,
@@ -313,6 +348,8 @@ impl Bst {
                     l,
                     gpu,
                     pu,
+                    pw,
+                    lw,
                     gp_slot,
                     p_slot,
                 };
@@ -336,27 +373,34 @@ impl Bst {
         }
     }
 
-    /// Fill the preallocated internal+leaf pair for an insertion of `k`
-    /// next to leaf `l` whose key is `lk` (private nodes; published only by
-    /// the link write).
-    fn configure_insert_nodes(&self, k: u32, lk: u32, l: u32, ni: u32, nl: u32) {
+    /// Fill the op's internal+leaf pair for an insertion of `k` next to
+    /// leaf `l` whose key is `lk`, allocating it on first use (private
+    /// nodes; published only by the link write). `Pool::alloc` touches no
+    /// `TxWord`, so calling this inside a prefix cannot abort it. Returns
+    /// the internal node.
+    fn configure_insert_nodes(&self, k: u32, lk: u32, l: u32, pair: &InsertPair) -> u32 {
         debug_assert_ne!(lk, k);
+        let (ni, nl) = pair.get().unwrap_or_else(|| {
+            let nl = self.nodes.alloc();
+            let ni = self.nodes.alloc();
+            pair.set(Some((ni, nl)));
+            (ni, nl)
+        });
+        // The pair is private, so its cells are stable and `peek_racy` is
+        // exact. `peek` would wait on the words' shared orecs, which another
+        // lane may hold while parked at the gate behind this lane's clock.
         let leaf = self.node(nl);
         leaf.key.init(k as u64);
         leaf.left.init(NIL_LINK);
         leaf.right.init(NIL_LINK);
-        leaf.update.init(clean_recycle(leaf.update.peek()));
+        leaf.update.init(clean_recycle(leaf.update.peek_racy()));
         let internal = self.node(ni);
-        internal.update.init(clean_recycle(internal.update.peek()));
-        if k < lk {
-            internal.key.init(lk as u64);
-            internal.left.init(nl as u64);
-            internal.right.init(l as u64);
-        } else {
-            internal.key.init(k as u64);
-            internal.left.init(l as u64);
-            internal.right.init(nl as u64);
-        }
+        internal.update.init(clean_recycle(internal.update.peek_racy()));
+        let (key, left, right) = if k < lk { (lk, nl, l) } else { (k, l, nl) };
+        internal.key.init(key as u64);
+        internal.left.init(link_bump(internal.left.peek_racy(), left));
+        internal.right.init(link_bump(internal.right.peek_racy(), right));
+        ni
     }
 
     fn help(&self, w: u64) {
@@ -379,13 +423,15 @@ impl Bst {
 
     fn help_insert(&self, i: u32, iword: u64) {
         let info = self.infos.get(i);
-        charge_n(CostKind::SharedLoad, 4);
         let p = info.p.load(Ordering::Acquire) as u32;
-        let l = info.l.load(Ordering::Acquire);
+        let link = info.link.load(Ordering::Acquire);
         let ni = info.ni.load(Ordering::Acquire);
         let slot = info.p_slot.load(Ordering::Acquire);
-        // ichild then iunflag; both CASes are idempotent across helpers.
-        let _ = self.child_word(p, slot).compare_exchange(l, ni, Ordering::SeqCst);
+        // ichild then iunflag; both CASes are idempotent across helpers,
+        // and the tag keeps a late ichild from re-linking a pruned `ni`.
+        let _ = self
+            .child_word(p, slot)
+            .compare_exchange(link, ni, Ordering::SeqCst);
         let _ = self
             .node(p)
             .update
@@ -396,7 +442,6 @@ impl Bst {
     /// it had to back off (the parent changed under the flag).
     fn help_delete(&self, i: u32) -> bool {
         let info = self.infos.get(i);
-        charge_n(CostKind::SharedLoad, 4);
         let p = info.p.load(Ordering::Acquire) as u32;
         let pupdate = info.pupdate.load(Ordering::Acquire);
         let dword = info.dword.load(Ordering::Acquire);
@@ -422,25 +467,27 @@ impl Bst {
 
     fn help_marked(&self, i: u32) {
         let info = self.infos.get(i);
-        charge_n(CostKind::SharedLoad, 5);
         let gp = info.gp.load(Ordering::Acquire) as u32;
         let p = info.p.load(Ordering::Acquire) as u32;
         let dword = info.dword.load(Ordering::Acquire);
         let gp_slot = info.gp_slot.load(Ordering::Acquire);
         let p_slot = info.p_slot.load(Ordering::Acquire);
+        let link = info.link.load(Ordering::Acquire);
         // The parent is marked: its children are frozen, the sibling read
         // is stable.
         let sibling = self.child_word(p, 1 - p_slot).load(Ordering::Acquire);
-        let _ = self
-            .child_word(gp, gp_slot)
-            .compare_exchange(p as u64, sibling, Ordering::SeqCst);
+        let _ = self.child_word(gp, gp_slot).compare_exchange(
+            link,
+            link_bump(link, link_idx(sibling)),
+            Ordering::SeqCst,
+        );
         let _ = self
             .node(gp)
             .update
             .compare_exchange(dword, clean_bump(dword), Ordering::SeqCst);
     }
 
-    fn lf_insert_attempt(&self, k: u32, s: &Snap, ni: u32, nl: u32) -> Attempt {
+    fn lf_insert_attempt(&self, k: u32, s: &Snap, pair: &InsertPair) -> Attempt {
         let lk = self.node(s.l).key.load(Ordering::Acquire) as u32;
         if lk == k {
             return Attempt::Present;
@@ -449,14 +496,13 @@ impl Bst {
             self.help(s.pu);
             return Attempt::Stale;
         }
-        self.configure_insert_nodes(k, lk, s.l, ni, nl);
+        let ni = self.configure_insert_nodes(k, lk, s.l, pair);
         let i = self.infos.alloc();
         let info = self.infos.get(i);
-        charge_n(CostKind::SharedStore, 4);
         info.kind.init(0);
         info.p.init(s.p as u64);
-        info.l.init(s.l as u64);
-        info.ni.init(ni as u64);
+        info.link.init(s.lw);
+        info.ni.init(link_bump(s.lw, ni));
         info.p_slot.init(s.p_slot);
         let iword = up_pack(ST_IFLAG, i, up_count(s.pu) + 1);
         if self
@@ -488,11 +534,10 @@ impl Bst {
         }
         let i = self.infos.alloc();
         let info = self.infos.get(i);
-        charge_n(CostKind::SharedStore, 7);
         info.kind.init(1);
         info.gp.init(s.gp as u64);
         info.p.init(s.p as u64);
-        info.l.init(s.l as u64);
+        info.link.init(s.pw);
         info.pupdate.init(s.pu);
         info.gp_slot.init(s.gp_slot);
         info.p_slot.init(s.p_slot);
@@ -526,20 +571,23 @@ impl Bst {
     fn tx_search<'e>(&'e self, tx: &mut Txn<'e>, k: u32) -> TxResult<Snap> {
         let mut gp;
         let mut gpu;
+        let mut pw;
         let mut gp_slot;
         let mut p = self.grandroot;
         let mut pu = tx.read(&self.node(p).update)?;
         let mut p_slot = 0u64;
-        let mut l = tx.read(&self.node(p).left)? as u32;
+        let mut lw = tx.read(&self.node(p).left)?;
         loop {
             gp = p;
             gpu = pu;
+            pw = lw;
             gp_slot = p_slot;
-            p = l;
+            p = link_idx(lw);
             pu = tx.read(&self.node(p).update)?;
             let pk = tx.read(&self.node(p).key)? as u32;
             p_slot = if k < pk { 0 } else { 1 };
-            l = tx.read(self.child_word(p, p_slot))? as u32;
+            lw = tx.read(self.child_word(p, p_slot))?;
+            let l = link_idx(lw);
             if tx.read(&self.node(l).left)? == NIL_LINK {
                 return Ok(Snap {
                     gp,
@@ -547,6 +595,8 @@ impl Bst {
                     l,
                     gpu,
                     pu,
+                    pw,
+                    lw,
                     gp_slot,
                     p_slot,
                 });
@@ -557,7 +607,12 @@ impl Bst {
     /// PTO1 insert: whole operation in one transaction. No Info descriptor
     /// is allocated (§3.2) — the update word's counter bump replaces the
     /// flag/unflag round trip.
-    fn tx_insert_whole<'e>(&'e self, tx: &mut Txn<'e>, k: u32, ni: u32, nl: u32) -> TxResult<Attempt> {
+    fn tx_insert_whole<'e>(
+        &'e self,
+        tx: &mut Txn<'e>,
+        k: u32,
+        pair: &InsertPair,
+    ) -> TxResult<Attempt> {
         let s = self.tx_search(tx, k)?;
         let lk = tx.read(&self.node(s.l).key)? as u32;
         if lk == k {
@@ -566,8 +621,8 @@ impl Bst {
         if up_state(s.pu) != ST_CLEAN {
             return Err(tx.abort(pto_core::ABORT_HELP));
         }
-        self.configure_insert_nodes(k, lk, s.l, ni, nl);
-        tx.write(self.child_word(s.p, s.p_slot), ni as u64)?;
+        let ni = self.configure_insert_nodes(k, lk, s.l, pair);
+        tx.write(self.child_word(s.p, s.p_slot), link_bump(s.lw, ni))?;
         tx.fence();
         tx.write(&self.node(s.p).update, clean_bump(s.pu))?;
         tx.fence();
@@ -586,7 +641,10 @@ impl Bst {
             return Err(tx.abort(pto_core::ABORT_HELP));
         }
         let sibling = tx.read(self.child_word(s.p, 1 - s.p_slot))?;
-        tx.write(self.child_word(s.gp, s.gp_slot), sibling)?;
+        tx.write(
+            self.child_word(s.gp, s.gp_slot),
+            link_bump(s.pw, link_idx(sibling)),
+        )?;
         tx.fence();
         tx.write(&self.node(s.gp).update, clean_bump(s.gpu))?;
         tx.fence();
@@ -623,10 +681,10 @@ impl Bst {
             return Ok(Attempt::Stale);
         }
         let cw = tx.read(self.child_word(s.p, s.p_slot))?;
-        if cw != s.l as u64 {
+        if cw != s.lw {
             return Ok(Attempt::Stale);
         }
-        tx.write(self.child_word(s.p, s.p_slot), ni as u64)?;
+        tx.write(self.child_word(s.p, s.p_slot), link_bump(s.lw, ni))?;
         tx.fence();
         tx.write(&self.node(s.p).update, clean_bump(s.pu))?;
         tx.fence();
@@ -641,11 +699,14 @@ impl Bst {
             return Ok(Attempt::Stale);
         }
         let edge = tx.read(self.child_word(s.gp, s.gp_slot))?;
-        if edge != s.p as u64 {
+        if edge != s.pw {
             return Ok(Attempt::Stale);
         }
         let sibling = tx.read(self.child_word(s.p, 1 - s.p_slot))?;
-        tx.write(self.child_word(s.gp, s.gp_slot), sibling)?;
+        tx.write(
+            self.child_word(s.gp, s.gp_slot),
+            link_bump(s.pw, link_idx(sibling)),
+        )?;
         tx.fence();
         tx.write(&self.node(s.gp).update, clean_bump(s.gpu))?;
         tx.fence();
@@ -662,9 +723,15 @@ impl Bst {
     // ------------------------------------------------------------------
 
     /// The non-transactional preamble of a PTO2 insert: search, duplicate
-    /// check, helping, and private-node configuration. `Err` short-circuits
-    /// the attempt with its outcome.
-    fn pto2_insert_prepare(&self, k: u32, ni: u32, nl: u32, g: &Guard) -> Result<Snap, Attempt> {
+    /// check, helping, and private-node configuration. Returns the snapshot
+    /// and the internal node to link; `Err` short-circuits the attempt with
+    /// its outcome.
+    fn pto2_insert_prepare(
+        &self,
+        k: u32,
+        pair: &InsertPair,
+        g: &Guard,
+    ) -> Result<(Snap, u32), Attempt> {
         let s = self.search(k, g);
         let lk = self.node(s.l).key.load(Ordering::Acquire) as u32;
         if lk == k {
@@ -674,8 +741,8 @@ impl Bst {
             self.help(s.pu);
             return Err(Attempt::Stale);
         }
-        self.configure_insert_nodes(k, lk, s.l, ni, nl);
-        Ok(s)
+        let ni = self.configure_insert_nodes(k, lk, s.l, pair);
+        Ok((s, ni))
     }
 
     /// The non-transactional preamble of a PTO2 delete.
@@ -697,17 +764,17 @@ impl Bst {
 
     /// One insert attempt through the PTO2 pipeline (search outside,
     /// update phase transactional, lock-free fallback).
-    fn pto2_insert_attempt(&self, k: u32, ni: u32, nl: u32) -> Attempt {
+    fn pto2_insert_attempt(&self, k: u32, pair: &InsertPair) -> Attempt {
         let g = epoch::pin();
-        let s = match self.pto2_insert_prepare(k, ni, nl, &g) {
-            Ok(s) => s,
+        let (s, ni) = match self.pto2_insert_prepare(k, pair, &g) {
+            Ok(prepared) => prepared,
             Err(done) => return done,
         };
         pto(
             &self.p2,
             &self.stats2,
             |tx| self.tx_insert_update(tx, &s, ni),
-            || self.lf_insert_attempt(k, &s, ni, nl),
+            || self.lf_insert_attempt(k, &s, pair),
         )
     }
 
@@ -728,17 +795,17 @@ impl Bst {
     /// PTO2 insert attempt under the self-tuning policy. The update-phase
     /// prefix is purely transactional (node configuration already happened
     /// in the preamble), so the middle path is safe here.
-    fn pto2_insert_attempt_adaptive(&self, k: u32, ni: u32, nl: u32) -> Attempt {
+    fn pto2_insert_attempt_adaptive(&self, k: u32, pair: &InsertPair) -> Attempt {
         let g = epoch::pin();
-        let s = match self.pto2_insert_prepare(k, ni, nl, &g) {
-            Ok(s) => s,
+        let (s, ni) = match self.pto2_insert_prepare(k, pair, &g) {
+            Ok(prepared) => prepared,
             Err(done) => return done,
         };
         pto_adaptive(
             &self.a2,
             &self.stats2,
             |tx| self.tx_insert_update(tx, &s, ni),
-            || self.lf_insert_attempt(k, &s, ni, nl),
+            || self.lf_insert_attempt(k, &s, pair),
         )
     }
 
@@ -756,11 +823,11 @@ impl Bst {
         )
     }
 
-    fn lf_insert_loop(&self, k: u32, ni: u32, nl: u32) -> Attempt {
+    fn lf_insert_loop(&self, k: u32, pair: &InsertPair) -> Attempt {
         let g = epoch::pin();
         loop {
             let s = self.search(k, &g);
-            match self.lf_insert_attempt(k, &s, ni, nl) {
+            match self.lf_insert_attempt(k, &s, pair) {
                 Attempt::Stale => continue,
                 other => return other,
             }
@@ -780,23 +847,22 @@ impl Bst {
 
 
     fn insert_impl(&self, k: u32) -> bool {
-        let nl = self.nodes.alloc();
-        let ni = self.nodes.alloc();
+        let pair = InsertPair::new(None);
         loop {
             let attempt = match self.variant {
-                BstVariant::LockFree => self.lf_insert_loop(k, ni, nl),
+                BstVariant::LockFree => self.lf_insert_loop(k, &pair),
                 BstVariant::Pto1 => pto(
                     &self.p1,
                     &self.stats1,
-                    |tx| self.tx_insert_whole(tx, k, ni, nl),
-                    || self.lf_insert_loop(k, ni, nl),
+                    |tx| self.tx_insert_whole(tx, k, &pair),
+                    || self.lf_insert_loop(k, &pair),
                 ),
-                BstVariant::Pto2 => self.pto2_insert_attempt(k, ni, nl),
+                BstVariant::Pto2 => self.pto2_insert_attempt(k, &pair),
                 BstVariant::Pto1Pto2 => pto(
                     &self.p1,
                     &self.stats1,
-                    |tx| self.tx_insert_whole(tx, k, ni, nl),
-                    || self.pto2_insert_attempt(k, ni, nl),
+                    |tx| self.tx_insert_whole(tx, k, &pair),
+                    || self.pto2_insert_attempt(k, &pair),
                 ),
                 BstVariant::Adaptive => {
                     // The whole-op insert prefix initializes private nodes
@@ -807,8 +873,8 @@ impl Bst {
                     pto_adaptive(
                         &a1,
                         &self.stats1,
-                        |tx| self.tx_insert_whole(tx, k, ni, nl),
-                        || self.pto2_insert_attempt_adaptive(k, ni, nl),
+                        |tx| self.tx_insert_whole(tx, k, &pair),
+                        || self.pto2_insert_attempt_adaptive(k, &pair),
                     )
                 }
             };
@@ -817,8 +883,10 @@ impl Bst {
                     return true;
                 }
                 Attempt::Present => {
-                    self.nodes.free_now(nl);
-                    self.nodes.free_now(ni);
+                    if let Some((ni, nl)) = pair.get() {
+                        self.nodes.free_now(nl);
+                        self.nodes.free_now(ni);
+                    }
                     return false;
                 }
                 Attempt::Stale => continue,
@@ -1280,6 +1348,66 @@ mod tests {
             (p1_cost as f64) < 0.8 * lf_cost as f64,
             "PTO1 updates ({p1_cost}) should be well under lock-free ({lf_cost})"
         );
+    }
+
+    #[test]
+    fn present_key_insert_allocates_nothing() {
+        for v in VARIANTS {
+            let t = Bst::new(v);
+            assert!(t.insert(5), "{v:?}");
+            let (high, live) = (t.nodes.high_water(), t.nodes.live());
+            assert!(!t.insert(5), "{v:?} duplicate");
+            assert_eq!(t.nodes.high_water(), high, "{v:?}: duplicate allocated");
+            assert_eq!(t.nodes.live(), live, "{v:?}: duplicate changed live");
+        }
+    }
+
+    #[test]
+    fn fallback_inserts_keep_exactly_two_nodes_each() {
+        // Every prefix attempt aborts, so each insert reaches its fallback
+        // holding the pair its prefix allocated; the pair must be the one
+        // linked, with nothing left behind.
+        for v in VARIANTS {
+            let chaos = PtoPolicy::with_attempts(1).with_chaos(100);
+            let t = Bst::with_policies(v, chaos, chaos);
+            let live = t.nodes.live();
+            for k in 0..50 {
+                assert!(t.insert(k), "{v:?}");
+                assert!(!t.insert(k), "{v:?} duplicate");
+            }
+            assert_eq!(t.nodes.live(), live + 100, "{v:?}");
+            t.check_structure().unwrap();
+        }
+    }
+
+    #[test]
+    fn late_insert_helper_cannot_relink_a_pruned_node() {
+        // A helper that read an insert's IFLAG descriptor stalls while the
+        // insert completes and its key is removed again, which points the
+        // parent's child back at the original leaf. Its ichild CAS must
+        // then fail instead of re-linking the pruned, marked internal node.
+        let t = Bst::new(BstVariant::LockFree);
+        assert!(t.insert(10));
+        let _pin = epoch::pin(); // keeps the descriptor and nodes unrecycled
+        let s = t.search(20, &_pin);
+        let lk = t.node(s.l).key.load(Ordering::Acquire) as u32;
+        let ni = t.configure_insert_nodes(20, lk, s.l, &InsertPair::new(None));
+        let i = t.infos.alloc();
+        let info = t.infos.get(i);
+        info.kind.init(0);
+        info.p.init(s.p as u64);
+        info.link.init(s.lw);
+        info.ni.init(link_bump(s.lw, ni));
+        info.p_slot.init(s.p_slot);
+        let iword = up_pack(ST_IFLAG, i, up_count(s.pu) + 1);
+        assert!(t.node(s.p).update.cas(s.pu, iword));
+        t.help_insert(i, iword);
+        assert!(t.contains(20));
+        assert!(t.remove(20));
+        t.help_insert(i, iword); // the late helper
+        assert!(!t.contains(20), "a late helper resurrected a removed key");
+        t.check_structure().unwrap();
+        assert!(t.insert(20) && t.remove(20), "the tree stays live");
     }
 
     #[test]

@@ -26,6 +26,7 @@ use pto_core::ConcurrentSet;
 use pto_htm::{TxResult, TxWord, Txn};
 use pto_mem::epoch::{self, Guard};
 use pto_mem::{Pool, NIL};
+use std::cell::Cell;
 use std::sync::atomic::Ordering;
 
 /// List node; `claim` arbitrates retirement.
@@ -70,6 +71,12 @@ pub struct HarrisList {
     policy: PtoPolicy,
     pub stats: PtoStats,
 }
+
+/// An insert's private node: empty until an attempt has proven the key
+/// absent, then reused (its `next` re-initialized) by every later attempt
+/// of the same operation, fallback included. An insert that finds its key
+/// therefore allocates nothing.
+type InsertNode = Cell<Option<u32>>;
 
 struct Edge {
     pred: u32,
@@ -160,12 +167,20 @@ impl HarrisList {
         }
     }
 
-    fn make_node(&self, key: u32, succ: u32) -> u32 {
+    /// The op's private node, pointed at `succ`; allocated on first use.
+    /// `Pool::alloc` touches no `TxWord`, so calling this inside a prefix
+    /// cannot abort it.
+    fn insert_node(&self, key: u32, succ: u32, node: &InsertNode) -> u32 {
+        if let Some(n) = node.get() {
+            self.nodes.get(n).next.init(mk(succ, false));
+            return n;
+        }
         let n = self.nodes.alloc();
-        let node = self.nodes.get(n);
-        node.key.init(key as u64);
-        node.next.init(mk(succ, false));
-        node.claim.init(0);
+        let fresh = self.nodes.get(n);
+        fresh.key.init(key as u64);
+        fresh.next.init(mk(succ, false));
+        fresh.claim.init(0);
+        node.set(Some(n));
         n
     }
 
@@ -181,20 +196,29 @@ impl HarrisList {
     // Lock-free attempts (Harris's original protocol)
     // ------------------------------------------------------------------
 
-    fn lf_insert_attempt(&self, key: u32, e: &Edge) -> Option<bool> {
+    fn lf_insert_attempt(&self, key: u32, e: &Edge, node: &InsertNode) -> Option<bool> {
         if self.key(e.curr) == key {
             return Some(false);
         }
-        let node = self.make_node(key, e.curr);
+        let n = self.insert_node(key, e.curr, node);
         if self
             .next(e.pred)
-            .compare_exchange(mk(e.curr, false), mk(node, false), Ordering::SeqCst)
+            .compare_exchange(mk(e.curr, false), mk(n, false), Ordering::SeqCst)
             .is_ok()
         {
             Some(true)
         } else {
-            self.nodes.free_now(node);
             None // stale edge: re-search
+        }
+    }
+
+    fn lf_insert_loop(&self, key: u32, node: &InsertNode) -> bool {
+        let g = epoch::pin();
+        loop {
+            let e = self.search(key, &g);
+            if let Some(r) = self.lf_insert_attempt(key, &e, node) {
+                return r;
+            }
         }
     }
 
@@ -248,15 +272,20 @@ impl HarrisList {
         }
     }
 
-    fn tx_insert_whole<'e>(&'e self, tx: &mut Txn<'e>, key: u32, node: u32) -> TxResult<Option<bool>> {
+    fn tx_insert_whole<'e>(
+        &'e self,
+        tx: &mut Txn<'e>,
+        key: u32,
+        node: &InsertNode,
+    ) -> TxResult<bool> {
         let (pred, curr, _) = self.tx_search(tx, key)?;
         if tx.read(&self.nodes.get(curr).key)? as u32 == key {
-            return Ok(Some(false));
+            return Ok(false);
         }
-        self.nodes.get(node).next.init(mk(curr, false));
-        tx.write(self.next(pred), mk(node, false))?;
+        let n = self.insert_node(key, curr, node);
+        tx.write(self.next(pred), mk(n, false))?;
         tx.fence();
-        Ok(Some(true))
+        Ok(true)
     }
 
     /// Whole-op remove: mark + unlink fused; the marked-but-linked
@@ -306,77 +335,40 @@ impl HarrisList {
     // ------------------------------------------------------------------
 
     fn insert_impl(&self, key: u32) -> bool {
-        match self.variant {
-            ListVariant::LockFree => {
-                let g = epoch::pin();
-                loop {
-                    let e = self.search(key, &g);
-                    if let Some(r) = self.lf_insert_attempt(key, &e) {
-                        return r;
-                    }
-                }
-            }
-            ListVariant::PtoWhole => {
-                let node = self.make_node(key, TAIL);
-                let r = pto(
-                    &self.policy,
-                    &self.stats,
-                    |tx| self.tx_insert_whole(tx, key, node),
-                    || {
-                        let g = epoch::pin();
-                        loop {
-                            let e = self.search(key, &g);
-                            if self.key(e.curr) == key {
-                                return Some(false);
-                            }
-                            // Reuse the preallocated node on the fallback.
-                            self.nodes.get(node).next.init(mk(e.curr, false));
-                            if self
-                                .next(e.pred)
-                                .compare_exchange(
-                                    mk(e.curr, false),
-                                    mk(node, false),
-                                    Ordering::SeqCst,
-                                )
-                                .is_ok()
-                            {
-                                return Some(true);
-                            }
-                        }
-                    },
-                )
-                .expect("whole-op paths always decide");
-                if !r {
-                    self.nodes.free_now(node);
-                }
-                r
-            }
+        let node = InsertNode::new(None);
+        let inserted = match self.variant {
+            ListVariant::LockFree => self.lf_insert_loop(key, &node),
+            ListVariant::PtoWhole => pto(
+                &self.policy,
+                &self.stats,
+                |tx| self.tx_insert_whole(tx, key, &node),
+                || self.lf_insert_loop(key, &node),
+            ),
             ListVariant::PtoUpdate => {
                 let g = epoch::pin();
                 loop {
                     let e = self.search(key, &g);
                     if self.key(e.curr) == key {
-                        return false;
+                        break false;
                     }
-                    let node = self.make_node(key, e.curr);
+                    let n = self.insert_node(key, e.curr, &node);
                     let out = pto(
                         &self.policy,
                         &self.stats,
-                        |tx| self.tx_insert_update(tx, &e, node),
-                        || self.lf_insert_attempt(key, &e),
+                        |tx| self.tx_insert_update(tx, &e, n),
+                        || self.lf_insert_attempt(key, &e, &node),
                     );
-                    match out {
-                        Some(r) => {
-                            if !r {
-                                self.nodes.free_now(node);
-                            }
-                            return r;
-                        }
-                        None => self.nodes.free_now(node), // stale: loop
+                    if let Some(r) = out {
+                        break r;
                     }
                 }
             }
+        };
+        // Only a successful link publishes the node.
+        if let (false, Some(n)) = (inserted, node.get()) {
+            self.nodes.free_now(n);
         }
+        inserted
     }
 
     fn remove_impl(&self, key: u32) -> bool {
@@ -639,6 +631,33 @@ mod tests {
             update_rate >= whole_rate,
             "update-phase fast rate ({update_rate:.2}) should be ≥ whole-op ({whole_rate:.2})"
         );
+    }
+
+    #[test]
+    fn present_key_insert_allocates_nothing() {
+        for v in VARIANTS {
+            let l = HarrisList::new(v);
+            assert!(l.insert(5), "{v:?}");
+            let (high, live) = (l.nodes.high_water(), l.nodes.live());
+            assert!(!l.insert(5), "{v:?} duplicate");
+            assert_eq!(l.nodes.high_water(), high, "{v:?}: duplicate allocated");
+            assert_eq!(l.nodes.live(), live, "{v:?}: duplicate changed live");
+        }
+    }
+
+    #[test]
+    fn fallback_inserts_keep_exactly_one_node_each() {
+        // Every prefix attempt aborts, so each insert links from its
+        // fallback; the node made before the prefix must be the one linked.
+        for v in VARIANTS {
+            let l = HarrisList::with_policy(v, PtoPolicy::with_attempts(1).with_chaos(100));
+            let live = l.nodes.live();
+            for k in 0..50 {
+                assert!(l.insert(k), "{v:?}");
+            }
+            assert_eq!(l.nodes.live(), live + 50, "{v:?}");
+            assert_eq!(l.len(), 50, "{v:?}");
+        }
     }
 
     #[test]

@@ -434,7 +434,10 @@ fn composed_pop_insert() -> u64 {
 }
 
 const GOLDEN_PRIVATE_WORD_PTO: Golden = (24800, 400, 300, 0, 0, 100, 0, 0);
-const GOLDEN_LIST_PTO_WHOLE: Golden = (255681, 353, 353, 0, 0, 0, 0, 0);
+// Re-pinned (255681 → 246724, HTM columns unchanged) when inserts began
+// allocating their node only once the search finds the key absent: a
+// present-key insert no longer pays a `PoolAlloc` + `PoolFree` pair.
+const GOLDEN_LIST_PTO_WHOLE: Golden = (246724, 353, 353, 0, 0, 0, 0, 0);
 const GOLDEN_LIST_PTO_UPDATE: Golden = (257578, 201, 201, 0, 0, 0, 0, 0);
 const GOLDEN_LIST_LOCKFREE: Golden = (289788, 0, 0, 0, 0, 0, 0, 0);
 const GOLDEN_MINDICATOR_PTO: Golden = (132800, 800, 800, 0, 0, 0, 0, 0);
@@ -445,7 +448,10 @@ const GOLDEN_LANE_PRIVATE_64_NUMAISH: Golden = (19156, 150, 150, 0, 0, 0, 0, 0);
 // Note: `private_word_adaptive` equals `private_word_pto` exactly — on a
 // conflict-free stream the self-tuning executor must add zero virtual cost.
 const GOLDEN_PRIVATE_WORD_ADAPTIVE: Golden = (24800, 400, 300, 0, 0, 100, 0, 0);
-const GOLDEN_BST_ADAPTIVE: Golden = (165066, 499, 499, 0, 0, 0, 0, 0);
+// Re-pinned (165066 → 149136, HTM columns unchanged) when inserts began
+// allocating their (internal, leaf) pair only once the search finds the key
+// absent: a present-key insert no longer pays 2×`PoolAlloc` + 2×`PoolFree`.
+const GOLDEN_BST_ADAPTIVE: Golden = (149136, 499, 499, 0, 0, 0, 0, 0);
 const GOLDEN_MIDDLE_PATH_WORD: Golden = (4418, 82, 40, 2, 0, 0, 0, 40);
 // Composed goldens (PR 10): recorded on the tree that introduced
 // `pto_core::compose`; regenerate with PTO_GOLDEN_PRINT=1 if the compose
