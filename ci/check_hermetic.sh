@@ -60,7 +60,7 @@ if bad:
 print("ok: pto-core depends only on pto-* crates")
 
 # The simulator is the foundation everything instruments against (clock,
-# trace, metrics, json); it must not grow dependencies at all — a pto-sim
+# observation, json); it must not grow dependencies at all — a pto-sim
 # that pulls in siblings inverts the layering, and an external crate
 # breaks hermeticity outright.
 sim = next(p for p in meta["packages"] if p["name"] == "pto-sim")

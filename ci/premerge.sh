@@ -12,6 +12,9 @@ echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "== workspace tests: every crate's unit and integration tests"
+cargo test --workspace -q
+
 echo "== crate tests: BST + Harris list unit tests (allocation and leak regressions)"
 cargo test -q --release -p pto-bst -p pto-list
 
@@ -21,20 +24,21 @@ cargo test -q --release -p pto-check --test lincheck
 echo "== benchmark check: smoke run of all four benchmark workloads"
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --check
 
-echo "== trace smoke: tiny traced benchmark + Chrome-JSON structural check"
-cargo run -q --release -p pto-bench --bin trace_smoke
+# The smoke bins are built once and run directly: `timeout` around
+# `cargo run` would kill cargo and leave a hung smoke spinning.
+cargo build -q --release -p pto-bench --bins
 
-echo "== metrics smoke: counter tracks + call-site attribution + SLO rails"
-timeout 30 cargo run -q --release -p pto-bench --bin metrics_smoke
+echo "== obs smoke: one session's trace, counter tracks, attribution, overflow, SLO rails"
+timeout 30 target/release/obs_smoke
 
 echo "== perf smoke: wallclock hot paths + BENCH_sim.json structural check"
-cargo run -q --release -p pto-bench --bin perf_smoke -- --check
+target/release/perf_smoke --check
 
 echo "== adaptive smoke: self-tuning policy beats/matches static budgets per regime"
-timeout 30 cargo run -q --release -p pto-bench --bin adaptive_sweep -- --smoke
+timeout 30 target/release/adaptive_sweep --smoke
 
 echo "== lincheck smoke: linearizability sweep, variant cells sharded across cores"
-timeout 30 cargo run -q --release -p pto-bench --bin lincheck -- --smoke
+timeout 30 target/release/lincheck --smoke
 
 echo "== compose smoke: cross-structure scenarios (conservation + consistency rails)"
 # Bank-transfer (two hash tables, token conservation under concurrent
@@ -42,9 +46,9 @@ echo "== compose smoke: cross-structure scenarios (conservation + consistency ra
 # each across the fallback/pto/adaptive series with SLO rails, plus the
 # multi-object lincheck leg (pair/transfer product specs through the WGL
 # checker).
-timeout 30 cargo run -q --release -p pto-bench --bin bank_transfer -- --smoke
-timeout 30 cargo run -q --release -p pto-bench --bin order_book -- --smoke
-timeout 30 cargo run -q --release -p pto-bench --bin compose_smoke -- --smoke
+timeout 30 target/release/bank_transfer --smoke
+timeout 30 target/release/order_book --smoke
+timeout 30 target/release/compose_smoke --smoke
 
 echo "== 64-lane smoke: tournament-gate liveness + dual-profile golden makespans"
 # Gate invariants at server scale (64/256-lane sched tests) and the

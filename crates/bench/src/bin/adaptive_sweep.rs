@@ -100,7 +100,7 @@ fn main() {
         .expect("write results/adaptive_sweep.csv");
     // Per-site attribution of one adaptive phase-change run: where the
     // self-tuned budgets actually spend their cycles.
-    let session = pto_core::profile::ProfileSession::arm();
+    let session = pto_sim::obs::Session::new();
     let wl = &wls[4]; // load-query
     let _ = pto_bench::drivers::setbench_phased(
         || bst_adaptive(wl.cap),

@@ -5,11 +5,12 @@
 //! figure, a lincheck variant, a whole table. Running cells concurrently
 //! on OS threads is only sound if each cell's observability is isolated;
 //! [`run_scoped`] installs every scope the workspace offers (HTM stats,
-//! reclamation counters, latency histograms) plus a deterministic RNG
-//! stream key derived from the cell's stable identity, runs the cell body,
-//! and returns the body's value together with the cell's own counter
-//! snapshots. The scopes flush into the process globals on drop, so
-//! whole-run summaries still add up.
+//! reclamation counters, latency histograms, a fold-only observation
+//! session) plus a deterministic RNG stream key derived from the cell's
+//! stable identity, runs the cell body, and returns the body's value
+//! together with the cell's own counter snapshots. The HTM and
+//! reclamation scopes also flush into their process globals on drop, so
+//! whole-run HTM summaries still add up.
 //!
 //! Determinism: the stream key depends only on the cell's identity (not
 //! on which worker thread or in what order it runs), so a sharded sweep
@@ -19,7 +20,7 @@
 use crate::lat::{LatScope, LatSnapshot};
 use pto_htm::{HtmScope, HtmSnapshot};
 use pto_mem::{MemScope, MemSnapshot};
-use pto_sim::metrics::{MetricsScope, MetricsSnapshot};
+use pto_sim::obs::{MetricsSnapshot, Session};
 use pto_sim::rng::mix64;
 use pto_sim::{ctx, par};
 
@@ -30,11 +31,9 @@ pub struct CellOut<R> {
     pub htm: HtmSnapshot,
     pub mem: MemSnapshot,
     pub lat: LatSnapshot,
-    /// Aggregated metrics-series activity scoped to this cell (counts,
-    /// sums, maxes per series — not the time-series, which belongs to a
-    /// globally armed [`pto_sim::metrics::MetricsSession`]). Series fed by
-    /// gate parks/backstops are wallclock scheduling detail: deterministic
-    /// comparisons must not include them.
+    /// The cell's observation-series aggregates (counts, sums, maxes per
+    /// series). Series fed by gate parks/backstops are wallclock
+    /// scheduling detail: deterministic comparisons must not include them.
     pub met: MetricsSnapshot,
 }
 
@@ -58,7 +57,7 @@ pub fn run_scoped<R>(key: u64, body: impl FnOnce() -> R) -> CellOut<R> {
     let htm = HtmScope::new();
     let mem = MemScope::new();
     let lat = LatScope::new();
-    let met = MetricsScope::new();
+    let met = Session::new();
     let value = body();
     CellOut {
         value,
@@ -103,8 +102,8 @@ mod tests {
         assert_eq!(out.value, 7);
         assert_eq!(out.htm.commits, 1);
         assert_eq!(out.lat.hists[crate::lat::OpKind::Insert as usize].count, 1);
-        // The metrics scope sees the same commit, without any session armed.
-        assert_eq!(out.met.total(pto_sim::metrics::Series::Commits), 1);
+        // The cell's observation session sees the same commit.
+        assert_eq!(out.met.total(pto_sim::obs::Series::Commits), 1);
     }
 
     #[test]
@@ -136,8 +135,8 @@ mod tests {
             // Commit/abort metric totals are virtual-time outcomes and must
             // shard deterministically too (gate-park series are not).
             assert_eq!(
-                a.met.total(pto_sim::metrics::Series::Commits),
-                b.met.total(pto_sim::metrics::Series::Commits),
+                a.met.total(pto_sim::obs::Series::Commits),
+                b.met.total(pto_sim::obs::Series::Commits),
                 "scoped metrics commits diverged"
             );
         }

@@ -2,12 +2,10 @@
 //!
 //! Each driver wraps its measured-loop operations in a virtual-time stamp
 //! pair and records the elapsed cycles into a log2-bucketed [`Histogram`]
-//! per operation kind. Sequential harnesses snapshot (and reset) the
-//! process-global accumulators around every (axis, series) cell; sharded
-//! harnesses install a [`LatScope`] per cell (context slot
-//! [`ctx::SLOT_LAT`]) so concurrent cells record into their own blocks —
-//! on the installing thread and every `Sim` lane it spawns — and flush
-//! into the globals on drop.
+//! per operation kind — into the [`LatScope`] installed for the cell
+//! (context slot [`ctx::SLOT_LAT`]), on the installing thread and every
+//! `Sim` lane it spawns, so concurrent cells record into their own blocks.
+//! With no scope installed nothing is recorded.
 //!
 //! Recording is two atomic RMWs plus two `fetch_min`/`fetch_max` per
 //! operation and never touches the virtual clock, so latency capture does
@@ -73,38 +71,26 @@ impl OpKind {
     }
 }
 
-/// One full accumulator block; the process globals and every [`LatScope`]
-/// each own one.
+/// One full accumulator block, owned by a [`LatScope`].
 #[derive(Default)]
 struct Block {
     hists: [Histogram; N_KINDS],
 }
 
-static HISTS: [Histogram; N_KINDS] = [const { Histogram::new() }; N_KINDS];
-
-/// Record one operation's latency in virtual cycles — into the installed
-/// [`LatScope`]'s block if one is set on this thread (directly or
-/// inherited from a spawning cell), else into the process globals.
+/// Record one operation's latency in virtual cycles into the [`LatScope`]
+/// installed on this thread (directly or inherited from a spawning cell);
+/// a no-op without one.
 #[inline]
 pub fn record(kind: OpKind, cycles: u64) {
-    if ctx::is_set(ctx::SLOT_LAT) {
-        let hit = ctx::with::<Block, _>(ctx::SLOT_LAT, |b| match b {
-            Some(b) => {
-                b.hists[kind as usize].record(cycles);
-                true
-            }
-            None => false,
-        });
-        if hit {
-            return;
+    ctx::with::<Block, _>(ctx::SLOT_LAT, |b| {
+        if let Some(b) = b {
+            b.hists[kind as usize].record(cycles);
         }
-    }
-    HISTS[kind as usize].record(cycles);
+    });
 }
 
 /// RAII scope isolating latency histograms for one sweep cell. Read the
-/// cell's own distributions with [`LatScope::snapshot`]; on drop they
-/// flush into the process-global accumulators.
+/// cell's own distributions with [`LatScope::snapshot`].
 pub struct LatScope {
     block: Arc<Block>,
     _guard: ctx::ScopeGuard,
@@ -135,14 +121,6 @@ impl LatScope {
     }
 }
 
-impl Drop for LatScope {
-    fn drop(&mut self) {
-        for (global, scoped) in HISTS.iter().zip(&self.block.hists) {
-            global.absorb(&scoped.snapshot());
-        }
-    }
-}
-
 /// The latency distributions of one measurement window: one histogram
 /// snapshot per [`OpKind`], indexed like [`ALL`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -166,58 +144,40 @@ impl LatSnapshot {
     }
 }
 
-/// Snapshot every kind's histogram.
-pub fn snapshot() -> LatSnapshot {
-    let mut s = LatSnapshot::default();
-    for (i, h) in HISTS.iter().enumerate() {
-        s.hists[i] = h.snapshot();
-    }
-    s
-}
-
-/// Zero every accumulator (start of a measurement window).
-pub fn reset() {
-    for h in &HISTS {
-        h.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    // The accumulators are process-global; tests in this binary run in
-    // parallel threads, so every test touching them serializes here.
-    static SERIAL: Mutex<()> = Mutex::new(());
 
     #[test]
-    fn record_snapshot_reset_round_trip() {
-        let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        record(OpKind::Insert, 100);
-        record(OpKind::Insert, 200);
+    fn scope_isolates_its_records() {
+        // Without a scope nothing is recorded anywhere.
+        record(OpKind::Push, 1);
+        let scope = LatScope::new();
+        record(OpKind::Push, 64);
+        record(OpKind::Push, 128);
         record(OpKind::Pop, 7);
-        let s = snapshot();
-        assert_eq!(s.hists[OpKind::Insert as usize].count, 2);
-        assert_eq!(s.hists[OpKind::Insert as usize].max, 200);
+        let s = scope.snapshot();
+        assert_eq!(s.hists[OpKind::Push as usize].count, 2);
+        assert_eq!(s.hists[OpKind::Push as usize].max, 128);
         assert_eq!(s.hists[OpKind::Pop as usize].count, 1);
         assert!(!s.is_empty());
-        reset();
-        assert!(snapshot().is_empty());
+        drop(scope);
+        assert!(LatScope::new().snapshot().is_empty());
     }
 
     #[test]
     fn merge_adds_counts_per_kind() {
-        let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        record(OpKind::Arrive, 50);
-        let a = snapshot();
-        reset();
-        record(OpKind::Arrive, 70);
-        record(OpKind::Depart, 30);
-        let b = snapshot();
-        reset();
+        let a = {
+            let scope = LatScope::new();
+            record(OpKind::Arrive, 50);
+            scope.snapshot()
+        };
+        let b = {
+            let scope = LatScope::new();
+            record(OpKind::Arrive, 70);
+            record(OpKind::Depart, 30);
+            scope.snapshot()
+        };
         let m = a.merge(&b);
         assert_eq!(m.hists[OpKind::Arrive as usize].count, 2);
         assert_eq!(m.hists[OpKind::Arrive as usize].max, 70);
@@ -225,34 +185,7 @@ mod tests {
     }
 
     #[test]
-    fn scope_isolates_and_flushes_on_drop() {
-        let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        let scoped_total;
-        {
-            let scope = LatScope::new();
-            record(OpKind::Push, 64);
-            record(OpKind::Push, 128);
-            let s = scope.snapshot();
-            assert_eq!(s.hists[OpKind::Push as usize].count, 2);
-            // While the scope lives, the globals saw nothing.
-            assert!(snapshot().is_empty(), "scoped records leaked to globals");
-            scoped_total = s;
-        }
-        // After the drop the scope's samples are in the globals.
-        let after = snapshot();
-        assert_eq!(
-            after.hists[OpKind::Push as usize].count,
-            scoped_total.hists[OpKind::Push as usize].count
-        );
-        assert_eq!(after.hists[OpKind::Push as usize].max, 128);
-        reset();
-    }
-
-    #[test]
     fn concurrent_scopes_do_not_bleed() {
-        let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
         std::thread::scope(|s| {
             for n in 1..=4u64 {
                 s.spawn(move || {
@@ -266,9 +199,6 @@ mod tests {
                 });
             }
         });
-        // All four scopes flushed: 1+2+3+4 samples in the globals.
-        assert_eq!(snapshot().hists[OpKind::Dequeue as usize].count, 10);
-        reset();
     }
 
     #[test]

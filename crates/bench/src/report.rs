@@ -1,7 +1,7 @@
 //! Table formatting and CSV output for the figure harnesses.
 
 use crate::lat::{LatSnapshot, ALL};
-use pto_sim::metrics::{MetricsSnapshot, Series};
+use pto_sim::obs::{MetricsSnapshot, Series};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -34,7 +34,7 @@ pub struct LatCell {
 }
 
 /// The metrics-series aggregates of one (axis point, series) cell,
-/// snapshotted from the cell's [`pto_sim::metrics::MetricsScope`].
+/// snapshotted from the cell's [`pto_sim::obs::Session`].
 #[derive(Clone, Debug)]
 pub struct MetCell {
     pub axis: usize,

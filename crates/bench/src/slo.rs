@@ -7,7 +7,7 @@
 //! ops/makespan) — and [`evaluate`] turns a measured [`Table`] into an
 //! [`SloReport`] with one PASS/FAIL row per (series, check). Reports
 //! render as a table section, export to `results/slo_<name>.csv`, and
-//! gate CI: `metrics_smoke` (and any `--check`-style harness) exits
+//! gate CI: `obs_smoke` (and any `--check`-style harness) exits
 //! nonzero when [`SloReport::pass`] is false.
 //!
 //! The compiled-in specs from [`spec_for`] are *sanity rails*, not tuned

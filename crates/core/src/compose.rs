@@ -53,9 +53,8 @@
 //! software-held orec and still commits through TL2 validation.
 
 use crate::policy::{self, AdaptivePolicy, PtoPolicy, PtoStats};
-use crate::profile;
 use pto_htm::{Abort, AbortCause, TxResult, TxWord, Txn};
-use pto_sim::metrics::{self, Series};
+use pto_sim::obs::{self, Event, Site};
 use std::sync::atomic::Ordering;
 
 /// A structure's participation word for composed operations: 0 = free,
@@ -219,8 +218,8 @@ impl<'a> Composed<'a> {
         mut prefix: impl FnMut(&mut Txn<'e>) -> TxResult<T>,
         fallback: impl FnOnce() -> T,
     ) -> T {
-        let site = profile::caller_site();
-        metrics::emit(Series::PolicyComposeEntries, 1);
+        let site = Site::caller();
+        obs::emit(Event::ComposeEnter);
         let anchors = &self.anchors;
         let wrapped_prefix = move |tx: &mut Txn<'e>| -> TxResult<T> {
             for a in anchors.iter() {
@@ -229,7 +228,7 @@ impl<'a> Composed<'a> {
             prefix(tx)
         };
         let wrapped_fallback = move || {
-            metrics::emit(Series::PolicyComposeFallbacks, 1);
+            obs::emit(Event::ComposeFallback);
             let _held = acquire_ordered(anchors);
             fallback()
         };

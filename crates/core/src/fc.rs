@@ -16,12 +16,10 @@
 //! iterations; the combiner charges a load/store per serviced slot plus
 //! whatever the caller's `apply` charges for the sequential operation.
 
-use crate::profile::{self, Phase};
-use pto_sim::metrics::{self, Series};
+use pto_sim::obs::{self, Event, Site};
 use pto_sim::pad::CachePadded;
 use pto_sim::stats::Counter;
 use pto_sim::sync::Mutex;
-use pto_sim::trace::{self, EventKind};
 use pto_sim::{charge, CostKind};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -129,8 +127,7 @@ impl<S> FlatCombining<S> {
     #[track_caller]
     pub fn execute(&self, request: u64, apply: impl Fn(&mut S, u64) -> u64) -> u64 {
         assert_eq!(request & PENDING, 0, "bit 63 is the pending tag");
-        let site = profile::caller_site();
-        let prof = profile::armed();
+        let _op = obs::op(Site::caller());
         let lane = self.my_lane();
         let slot = &self.slots[lane];
         // Publish.
@@ -142,10 +139,9 @@ impl<S> FlatCombining<S> {
             if let Some(mut s) = self.seq.try_lock() {
                 // We are the combiner: one lock acquisition (charged as a
                 // CAS) services every pending request.
-                let t0 = if prof { pto_sim::now() } else { 0 };
+                obs::emit(Event::CombineBegin);
                 charge(CostKind::Cas);
                 self.stats.combines.inc();
-                trace::emit(EventKind::CombineBegin);
                 let mut round = 0u64;
                 for other in self.slots.iter() {
                     charge(CostKind::SharedLoad);
@@ -161,13 +157,7 @@ impl<S> FlatCombining<S> {
                     }
                 }
                 charge(CostKind::SharedStore); // lock release
-                trace::emit(EventKind::CombineEnd { serviced: round });
-                metrics::emit(Series::CombineServiced, round);
-                if prof {
-                    let mut acc = profile::LocalAcc::default();
-                    acc.add(Phase::Combine, pto_sim::now() - t0);
-                    profile::charge(site, &acc);
-                }
+                obs::emit(Event::CombineEnd { serviced: round });
             }
             charge(CostKind::SharedLoad);
             if slot.req.load(Ordering::Acquire) & PENDING == 0 {

@@ -1,10 +1,8 @@
 //! Retry policies and the PTO executors.
 
-use crate::profile::{self, Phase};
 use pto_htm::{transaction_with, AbortCause, CauseCounters, FenceMode, TxOpts, TxResult, Txn};
-use pto_sim::metrics::{self, Series};
+use pto_sim::obs::{self, Event, Site};
 use pto_sim::stats::Counter;
-use pto_sim::trace::{self, EventKind};
 use pto_sim::{charge_n, CostKind};
 
 /// Inter-retry backoff applied after *transient* aborts (conflict or
@@ -50,6 +48,28 @@ fn backoff_rng_draw(window: u64) -> u64 {
         static SLOT: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
     }
     SLOT.with(|s| pto_sim::rng::lane_draw_below(SITE, s, window))
+}
+
+/// The randomized exponential backoff `b` before retry `attempt + 1`
+/// (`attempt` counts aborts so far); `Off` spins nothing.
+fn back_off(b: Backoff, attempt: u32) {
+    if let Backoff::Exp { base, cap } = b {
+        let window = ((base as u64) << attempt.min(32))
+            .min(cap.max(1) as u64)
+            .max(1);
+        spin_charged(1 + backoff_rng_draw(window));
+    }
+}
+
+/// Spin `spins` iterations, each charged as [`CostKind::SpinIter`], as one
+/// backoff span.
+fn spin_charged(spins: u64) {
+    obs::emit(Event::BackoffBegin { spins });
+    charge_n(CostKind::SpinIter, spins);
+    for _ in 0..spins {
+        std::hint::spin_loop();
+    }
+    obs::emit(Event::BackoffEnd);
 }
 
 /// How a PTO'd operation attempts its prefix transaction before falling
@@ -202,34 +222,24 @@ pub fn pto<'e, T>(
     prefix: impl FnMut(&mut Txn<'e>) -> TxResult<T>,
     fallback: impl FnOnce() -> T,
 ) -> T {
-    pto_at(profile::caller_site(), policy, stats, prefix, fallback)
+    pto_at(Site::caller(), policy, stats, prefix, fallback)
 }
 
 /// The body of [`pto`], parameterized on the attribution site so that
 /// [`pto2`]'s two nesting levels charge the composed call site rather than
-/// this file. Profiler reads of the virtual clock happen only when a
-/// [`profile::ProfileSession`] is armed and never charge time themselves.
+/// this file.
 pub(crate) fn pto_at<'e, T>(
-    site: profile::Site,
+    site: Site,
     policy: &PtoPolicy,
     stats: &PtoStats,
     mut prefix: impl FnMut(&mut Txn<'e>) -> TxResult<T>,
     fallback: impl FnOnce() -> T,
 ) -> T {
-    let prof = profile::armed();
-    let mut acc = profile::LocalAcc::default();
+    let _op = obs::op(site);
     for attempt in 0..policy.attempts {
-        let t0 = if prof { pto_sim::now() } else { 0 };
-        let res = transaction_with(policy.opts, &mut prefix);
-        if prof {
-            acc.add(Phase::Attempt, pto_sim::now() - t0);
-        }
-        match res {
+        match transaction_with(policy.opts, &mut prefix) {
             Ok(v) => {
                 stats.fast.inc();
-                if prof {
-                    profile::charge(site, &acc);
-                }
                 return v;
             }
             Err(cause) => {
@@ -246,38 +256,20 @@ pub(crate) fn pto_at<'e, T>(
                 // back off alongside conflicts; this keeps the delay
                 // deterministic to test under chaos injection.)
                 if attempt + 1 < policy.attempts {
-                    if let Backoff::Exp { base, cap } = policy.backoff {
-                        let window =
-                            ((base as u64) << attempt.min(32)).min(cap.max(1) as u64).max(1);
-                        let spins = 1 + backoff_rng_draw(window);
-                        let t0 = if prof { pto_sim::now() } else { 0 };
-                        trace::emit(EventKind::BackoffBegin { spins });
-                        charge_n(CostKind::SpinIter, spins);
-                        for _ in 0..spins {
-                            std::hint::spin_loop();
-                        }
-                        trace::emit(EventKind::BackoffEnd);
-                        if prof {
-                            acc.add(Phase::Backoff, pto_sim::now() - t0);
-                        }
-                    }
+                    back_off(policy.backoff, attempt);
                 }
             }
         }
     }
     stats.fallback.inc();
-    metrics::emit(Series::FallbackDepth, 1);
-    trace::emit(EventKind::FallbackEnter);
-    let t0 = if prof { pto_sim::now() } else { 0 };
+    run_fallback(fallback)
+}
+
+/// Run a fallback as one fallback span.
+fn run_fallback<T>(fallback: impl FnOnce() -> T) -> T {
+    obs::emit(Event::FallbackEnter);
     let v = fallback();
-    if prof {
-        acc.add(Phase::Fallback, pto_sim::now() - t0);
-    }
-    trace::emit(EventKind::FallbackExit);
-    metrics::emit(Series::FallbackDepth, 0);
-    if prof {
-        profile::charge(site, &acc);
-    }
+    obs::emit(Event::FallbackExit);
     v
 }
 
@@ -298,7 +290,7 @@ pub fn pto2<'e, T>(
     // Both nesting levels charge the composed caller: in the profile they
     // show up as one site whose fallback phase contains the inner attempts
     // (inclusive attribution, like flamegraph sample counts).
-    let site = profile::caller_site();
+    let site = Site::caller();
     pto_at(site, outer_policy, outer_stats, outer, || {
         pto_at(site, inner_policy, inner_stats, inner, fallback)
     })
@@ -558,7 +550,7 @@ impl SiteState {
             let next = self.pick_regime();
             if next != self.regime {
                 self.regime = next;
-                metrics::emit(Series::PolicyAdaptFlips, 1);
+                obs::emit(Event::AdaptFlip);
             }
         }
     }
@@ -585,7 +577,7 @@ impl SiteState {
 }
 
 struct AdaptReg {
-    map: std::collections::HashMap<(profile::Site, u8), SiteState>,
+    map: std::collections::HashMap<(Site, u8), SiteState>,
     last_lane: Option<usize>,
     last_now: u64,
 }
@@ -600,9 +592,9 @@ thread_local! {
 
 /// Run `f` on the site's state. The registry self-resets when the thread
 /// changes gate lane or the virtual clock runs backwards (a new `Sim` run
-/// or cell): state never leaks between runs, mirroring the metrics
+/// or cell): state never leaks between runs, mirroring the observation
 /// subsystem's rotation rule, so reruns of one cell adapt identically.
-fn with_site<R>(site: profile::Site, level: u8, f: impl FnOnce(&mut SiteState) -> R) -> R {
+fn with_site<R>(site: Site, level: u8, f: impl FnOnce(&mut SiteState) -> R) -> R {
     ADAPT.with(|r| {
         let mut r = r.borrow_mut();
         let lane = pto_sim::clock::current_lane();
@@ -619,7 +611,7 @@ fn with_site<R>(site: profile::Site, level: u8, f: impl FnOnce(&mut SiteState) -
 /// The current thread's adaptive regime for the calling site of the last
 /// [`pto_adaptive`] at `(site, level)` — a test/diagnostic hook.
 #[doc(hidden)]
-pub fn adaptive_regime_at(site: profile::Site, level: u8) -> Option<Regime> {
+pub fn adaptive_regime_at(site: Site, level: u8) -> Option<Regime> {
     ADAPT.with(|r| r.borrow().map.get(&(site, level)).map(|s| s.regime))
 }
 
@@ -639,7 +631,7 @@ pub fn pto_adaptive<'e, T>(
     prefix: impl FnMut(&mut Txn<'e>) -> TxResult<T>,
     fallback: impl FnOnce() -> T,
 ) -> T {
-    pto_adaptive_at(profile::caller_site(), 0, policy, stats, prefix, fallback)
+    pto_adaptive_at(Site::caller(), 0, policy, stats, prefix, fallback)
 }
 
 /// Adaptive composition `T_B(T_A(G))`: both levels adapt independently
@@ -656,49 +648,42 @@ pub fn pto2_adaptive<'e, T>(
     inner: impl FnMut(&mut Txn<'e>) -> TxResult<T>,
     fallback: impl FnOnce() -> T,
 ) -> T {
-    let site = profile::caller_site();
+    let site = Site::caller();
     pto_adaptive_at(site, 0, outer_policy, outer_stats, outer, || {
         pto_adaptive_at(site, 1, inner_policy, inner_stats, inner, fallback)
     })
 }
 
 pub(crate) fn pto_adaptive_at<'e, T>(
-    site: profile::Site,
+    site: Site,
     level: u8,
     ap: &AdaptivePolicy,
     stats: &PtoStats,
     mut prefix: impl FnMut(&mut Txn<'e>) -> TxResult<T>,
     fallback: impl FnOnce() -> T,
 ) -> T {
-    let prof = profile::armed();
-    let mut acc = profile::LocalAcc::default();
+    let _op = obs::op(site);
     let grant = with_site(site, level, |st| st.grant(ap));
-    metrics::emit(Series::PolicySiteBudget, grant.attempts as u64);
-    let mut obs = OpObs::default();
+    obs::emit(Event::SiteBudget {
+        attempts: grant.attempts as u64,
+    });
+    let mut seen = OpObs::default();
 
     // --- Path 1: best-effort HTM attempts (the `pto_at` loop under the
     // granted budget/backoff). ------------------------------------------
     for attempt in 0..grant.attempts {
-        obs.attempts_made += 1;
-        let t0 = if prof { pto_sim::now() } else { 0 };
-        let res = transaction_with(ap.base.opts, &mut prefix);
-        if prof {
-            acc.add(Phase::Attempt, pto_sim::now() - t0);
-        }
-        match res {
+        seen.attempts_made += 1;
+        match transaction_with(ap.base.opts, &mut prefix) {
             Ok(v) => {
                 stats.fast.inc();
-                obs.fast_commit = true;
-                with_site(site, level, |st| st.absorb(&obs));
-                if prof {
-                    profile::charge(site, &acc);
-                }
+                seen.fast_commit = true;
+                with_site(site, level, |st| st.absorb(&seen));
                 return v;
             }
             Err(cause) => {
                 stats.aborted_attempts.inc();
                 stats.causes.record(cause);
-                obs.record_abort(cause);
+                seen.record_abort(cause);
                 if ap.base.stop_on_permanent && !cause.retry_hint() {
                     break;
                 }
@@ -706,21 +691,7 @@ pub(crate) fn pto_adaptive_at<'e, T>(
                     break;
                 }
                 if attempt + 1 < grant.attempts {
-                    if let Backoff::Exp { base, cap } = grant.backoff {
-                        let window =
-                            ((base as u64) << attempt.min(32)).min(cap.max(1) as u64).max(1);
-                        let spins = 1 + backoff_rng_draw(window);
-                        let t0 = if prof { pto_sim::now() } else { 0 };
-                        trace::emit(EventKind::BackoffBegin { spins });
-                        charge_n(CostKind::SpinIter, spins);
-                        for _ in 0..spins {
-                            std::hint::spin_loop();
-                        }
-                        trace::emit(EventKind::BackoffEnd);
-                        if prof {
-                            acc.add(Phase::Backoff, pto_sim::now() - t0);
-                        }
-                    }
+                    back_off(grant.backoff, attempt);
                 }
             }
         }
@@ -730,37 +701,30 @@ pub(crate) fn pto_adaptive_at<'e, T>(
     // granule's software-held orec; holding it excludes every competing
     // writer, so the conflicts that burned path 1 cannot recur. ----------
     if grant.middle_armed {
-        let oidx = obs
+        let oidx = seen
             .unique_conflict_orec()
             .or_else(|| with_site(site, level, |st| st.last_orec));
         if let Some(oidx) = oidx {
             if let Some(mut guard) = pto_htm::try_acquire_orec(oidx, ap.middle_spins) {
-                metrics::emit(Series::PolicyMiddleEntries, 1);
-                obs.attempts_made += 1;
-                let t0 = if prof { pto_sim::now() } else { 0 };
+                obs::emit(Event::MiddleEnter);
+                seen.attempts_made += 1;
                 let res = pto_htm::transaction_owned(ap.base.opts, &mut guard, &mut prefix);
-                if prof {
-                    acc.add(Phase::Attempt, pto_sim::now() - t0);
-                }
                 drop(guard);
                 match res {
                     Ok(v) => {
                         stats.middle.inc();
-                        with_site(site, level, |st| st.absorb(&obs));
-                        if prof {
-                            profile::charge(site, &acc);
-                        }
+                        with_site(site, level, |st| st.absorb(&seen));
                         return v;
                     }
                     Err(cause) => {
                         stats.aborted_attempts.inc();
                         stats.causes.record(cause);
-                        obs.record_abort(cause);
-                        obs.middle_failed = true;
+                        seen.record_abort(cause);
+                        seen.middle_failed = true;
                     }
                 }
             } else {
-                obs.middle_failed = true;
+                seen.middle_failed = true;
             }
             // A failed middle path (abort or acquisition timeout) under
             // symmetric contention is a livelock hazard: several lanes in
@@ -769,43 +733,22 @@ pub(crate) fn pto_adaptive_at<'e, T>(
             // miss every waiter's runnable windows and no op ever commits.
             // A per-lane seeded jitter draw (charged, like inter-attempt
             // backoff) staggers the cadences and breaks the alignment.
-            if obs.middle_failed {
+            if seen.middle_failed {
                 let window = match grant.backoff {
                     Backoff::Exp { base, cap } => {
                         ((base as u64) << 1).clamp(1, cap.max(1) as u64)
                     }
                     Backoff::Off => MIDDLE_RETRY_WINDOW,
                 };
-                let spins = 1 + backoff_rng_draw(window);
-                let t0 = if prof { pto_sim::now() } else { 0 };
-                trace::emit(EventKind::BackoffBegin { spins });
-                charge_n(CostKind::SpinIter, spins);
-                for _ in 0..spins {
-                    std::hint::spin_loop();
-                }
-                trace::emit(EventKind::BackoffEnd);
-                if prof {
-                    acc.add(Phase::Backoff, pto_sim::now() - t0);
-                }
+                spin_charged(1 + backoff_rng_draw(window));
             }
         }
     }
 
     // --- Path 3: the full fallback (identical sequence to `pto_at`). ----
     stats.fallback.inc();
-    metrics::emit(Series::FallbackDepth, 1);
-    trace::emit(EventKind::FallbackEnter);
-    let t0 = if prof { pto_sim::now() } else { 0 };
-    let v = fallback();
-    if prof {
-        acc.add(Phase::Fallback, pto_sim::now() - t0);
-    }
-    trace::emit(EventKind::FallbackExit);
-    metrics::emit(Series::FallbackDepth, 0);
-    with_site(site, level, |st| st.absorb(&obs));
-    if prof {
-        profile::charge(site, &acc);
-    }
+    let v = run_fallback(fallback);
+    with_site(site, level, |st| st.absorb(&seen));
     v
 }
 
@@ -1279,7 +1222,7 @@ mod tests {
         let ap = AdaptivePolicy::new(PtoPolicy::with_attempts(2)).with_middle_streak(2);
         // Both phases must hit the SAME adaptive site: pin it explicitly
         // (two `pto_adaptive` calls on different lines are different sites).
-        let site = crate::profile::caller_site();
+        let site = Site::caller();
         {
             let _g = pto_htm::try_acquire_orec(w.orec_index(), 8).expect("uncontended");
             // Exactly `middle_streak` warm-up ops: the streak reaches the
@@ -1329,7 +1272,7 @@ mod tests {
         let w = TxWord::new(0);
         let stats = PtoStats::new();
         let ap = AdaptivePolicy::new(PtoPolicy::with_attempts(4)).with_middle_streak(u32::MAX);
-        let site = crate::profile::caller_site();
+        let site = Site::caller();
         let _g = pto_htm::try_acquire_orec(w.orec_index(), 8).expect("uncontended");
         let mut aborts_per_op = Vec::new();
         for _ in 0..30 {

@@ -1,257 +1,26 @@
-//! Per-call-site attribution of virtual time.
+//! Per-call-site attribution of virtual time, as a view over
+//! [`pto_sim::obs`].
 //!
-//! The abort-cause counters say *what* happened and the metrics series say
-//! *when*; this module says **where the cycles went**: a lightweight site
-//! registry that charges the virtual time spent in transaction attempts,
-//! retry backoff, fallbacks, and combiner rounds to the *originating call
-//! site* of [`pto`](crate::policy::pto) / [`pto2`](crate::policy::pto2) /
+//! Every executor — [`pto`](crate::policy::pto) /
+//! [`pto2`](crate::policy::pto2) / the adaptive executors /
 //! [`Tle::execute`](crate::tle::Tle::execute) /
-//! [`FlatCombining::execute`](crate::fc::FlatCombining::execute), captured
-//! with `#[track_caller]` — so a bench report can name the line of
-//! structure code that burned the time, not just the framework function.
-//!
-//! Zero-cost contract, matching trace/metrics: the executors check one
-//! relaxed load ([`armed`]) before reading any clock; when disarmed no
-//! timestamps are taken at all, and when armed the profiler only *reads*
-//! the virtual clock — it never charges it, so arming a
-//! [`ProfileSession`] changes no virtual-time outcome.
+//! [`FlatCombining::execute`](crate::fc::FlatCombining::execute) — brackets
+//! its call with an `OpBegin{site}`/`OpEnd` frame, the `site` captured with
+//! `#[track_caller]`, so an observation session can charge the attempt,
+//! backoff, fallback and combine spans inside it to the line of structure
+//! code that issued the operation. Arming changes no virtual-time outcome:
+//! the session only folds events stamped with clock reads.
 //!
 //! Attribution is **inclusive**: a composed `pto2` charges its inner
 //! attempts both to the inner attempt phase and to the outer fallback
 //! phase (the inner executor runs inside the outer fallback closure),
 //! exactly like a flamegraph's inclusive sample counts.
 
-use pto_sim::sync::Mutex;
-use std::collections::HashMap;
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+pub use pto_sim::obs::{Phase, N_PHASES};
 
-/// Number of attribution phases.
-pub const N_PHASES: usize = 4;
-
-/// Where within an executor the time was spent.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Phase {
-    /// Inside a prefix/elided transaction attempt (committed or aborted).
-    Attempt = 0,
-    /// Spinning in randomized retry backoff.
-    Backoff = 1,
-    /// Inside the non-speculative fallback (lock-free original code, or
-    /// the lock path for TLE).
-    Fallback = 2,
-    /// Servicing a flat-combining round on behalf of other threads.
-    Combine = 3,
-}
-
-/// Every phase, in index order.
-pub const ALL_PHASES: [Phase; N_PHASES] =
-    [Phase::Attempt, Phase::Backoff, Phase::Fallback, Phase::Combine];
-
-impl Phase {
-    /// Stable exported name (the collapsed-stack frame).
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Attempt => "attempt",
-            Phase::Backoff => "backoff",
-            Phase::Fallback => "fallback",
-            Phase::Combine => "combine",
-        }
-    }
-}
-
-/// A call site: `file:line` of the caller of an instrumented executor.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Site {
-    pub file: &'static str,
-    pub line: u32,
-}
-
-/// The instrumented executor's caller (propagates through the executor's
-/// own `#[track_caller]` attribute).
-#[track_caller]
-pub fn caller_site() -> Site {
-    let loc = std::panic::Location::caller();
-    Site {
-        file: loc.file(),
-        line: loc.line(),
-    }
-}
-
-/// Per-operation local accumulator: the executors batch their phase
-/// charges here and flush once per operation, so the registry lock is
-/// taken once per op, not once per timestamp.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct LocalAcc {
-    cycles: [u64; N_PHASES],
-    counts: [u64; N_PHASES],
-}
-
-impl LocalAcc {
-    pub(crate) fn add(&mut self, phase: Phase, cycles: u64) {
-        self.cycles[phase as usize] = self.cycles[phase as usize].saturating_add(cycles);
-        self.counts[phase as usize] += 1;
-    }
-}
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-/// Is a [`ProfileSession`] armed? The executors' one-relaxed-load guard:
-/// when false they take no timestamps at all.
-#[inline]
-pub(crate) fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
-}
-
-#[derive(Clone, Copy, Default)]
-struct SiteTotals {
-    cycles: [u64; N_PHASES],
-    counts: [u64; N_PHASES],
-}
-
-fn registry() -> &'static Mutex<HashMap<Site, SiteTotals>> {
-    static R: OnceLock<Mutex<HashMap<Site, SiteTotals>>> = OnceLock::new();
-    R.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Flush one operation's accumulator into the site registry.
-pub(crate) fn charge(site: Site, acc: &LocalAcc) {
-    let mut reg = registry().lock();
-    let t = reg.entry(site).or_default();
-    for i in 0..N_PHASES {
-        t.cycles[i] = t.cycles[i].saturating_add(acc.cycles[i]);
-        t.counts[i] += acc.counts[i];
-    }
-}
-
-/// A scoped arming of the call-site profiler. At most one session can be
-/// armed at a time; [`ProfileSession::drain`] (or drop) disarms.
-#[must_use = "an unarmed profiler records nothing; call drain() to collect"]
-pub struct ProfileSession {
-    _private: (),
-}
-
-impl ProfileSession {
-    /// Arm the profiler (clears any residue from past sessions).
-    ///
-    /// Panics if a session is already armed.
-    pub fn arm() -> ProfileSession {
-        assert!(
-            !ARMED.swap(true, Ordering::SeqCst),
-            "a ProfileSession is already armed"
-        );
-        registry().lock().clear();
-        ProfileSession { _private: () }
-    }
-
-    /// Disarm and collect the per-site totals, sorted by total cycles
-    /// (hottest first). Ops still in flight on other threads flush their
-    /// accumulators at op end; drain after joining workers (post
-    /// `Sim::run`) for exact totals.
-    pub fn drain(self) -> Profile {
-        ARMED.store(false, Ordering::SeqCst);
-        let mut sites: Vec<SiteProfile> = registry()
-            .lock()
-            .iter()
-            .map(|(site, t)| SiteProfile {
-                file: site.file,
-                line: site.line,
-                cycles: t.cycles,
-                counts: t.counts,
-            })
-            .collect();
-        sites.sort_by(|a, b| b.total().cmp(&a.total()).then(a.file.cmp(b.file)));
-        Profile { sites }
-    }
-}
-
-impl Drop for ProfileSession {
-    fn drop(&mut self) {
-        ARMED.store(false, Ordering::SeqCst);
-    }
-}
-
-/// One call site's attribution totals.
-#[derive(Clone, Copy, Debug)]
-pub struct SiteProfile {
-    pub file: &'static str,
-    pub line: u32,
-    /// Virtual cycles per [`Phase`] (indexed by `Phase as usize`).
-    pub cycles: [u64; N_PHASES],
-    /// Operations-phase entries per [`Phase`].
-    pub counts: [u64; N_PHASES],
-}
-
-impl SiteProfile {
-    /// Total virtual cycles attributed to this site across all phases.
-    pub fn total(&self) -> u64 {
-        self.cycles.iter().fold(0u64, |a, &c| a.saturating_add(c))
-    }
-}
-
-/// A drained profile: sites sorted hottest-first.
-#[derive(Debug)]
-pub struct Profile {
-    pub sites: Vec<SiteProfile>,
-}
-
-impl Profile {
-    /// Total attributed cycles across all sites.
-    pub fn total_cycles(&self) -> u64 {
-        self.sites.iter().fold(0u64, |a, s| a.saturating_add(s.total()))
-    }
-
-    /// Collapsed-stack (flamegraph-compatible) text: one
-    /// `file:line;phase cycles` line per non-empty (site, phase) pair.
-    /// Feed to any FlameGraph implementation, or read directly: the stack
-    /// is `call site → executor phase`.
-    pub fn collapsed(&self) -> String {
-        let mut out = String::new();
-        for s in &self.sites {
-            for p in ALL_PHASES {
-                let c = s.cycles[p as usize];
-                if c > 0 {
-                    let _ = writeln!(out, "{}:{};{} {}", s.file, s.line, p.name(), c);
-                }
-            }
-        }
-        out
-    }
-
-    /// "Where did the cycles go": the top `n` sites with per-phase splits
-    /// and their share of all attributed virtual time.
-    pub fn top_table(&self, n: usize) -> String {
-        let total = self.total_cycles().max(1);
-        let mut out = String::from("profile: top call sites by attributed virtual cycles\n");
-        let _ = writeln!(
-            out,
-            "  {:<40} {:>6} {:>12} {:>10} {:>10} {:>10} {:>10}",
-            "site", "share", "total_cyc", "attempt", "backoff", "fallback", "combine"
-        );
-        for s in self.sites.iter().take(n) {
-            let label = format!("{}:{}", s.file, s.line);
-            // Keep the tail of long paths: the file name is the signal.
-            let label = if label.len() > 40 {
-                format!("..{}", &label[label.len() - 38..])
-            } else {
-                label
-            };
-            let _ = writeln!(
-                out,
-                "  {:<40} {:>5.1}% {:>12} {:>10} {:>10} {:>10} {:>10}",
-                label,
-                s.total() as f64 * 100.0 / total as f64,
-                s.total(),
-                s.cycles[Phase::Attempt as usize],
-                s.cycles[Phase::Backoff as usize],
-                s.cycles[Phase::Fallback as usize],
-                s.cycles[Phase::Combine as usize],
-            );
-        }
-        out
-    }
-}
+/// An observation session read for its attribution fold:
+/// `drain().sites` lists the call sites hottest first.
+pub type ProfileSession = pto_sim::obs::Session;
 
 #[cfg(test)]
 mod tests {
@@ -259,26 +28,18 @@ mod tests {
     use crate::policy::{pto, PtoPolicy, PtoStats};
     use pto_htm::TxWord;
 
-    // Sessions are process-global; tests that arm must not overlap.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn disarmed_profiling_records_nothing() {
-        let _g = serial();
         let w = TxWord::new(0);
         let stats = PtoStats::new();
         pto(&PtoPolicy::with_attempts(3), &stats, |tx| tx.read(&w), || 0);
-        let p = ProfileSession::arm().drain();
+        let p = ProfileSession::new().drain();
         assert!(p.sites.is_empty(), "disarmed ops must not register sites");
     }
 
     #[test]
     fn sites_attribute_attempt_and_fallback_time() {
-        let _g = serial();
-        let session = ProfileSession::arm();
+        let session = ProfileSession::new();
         let w = TxWord::new(0);
         let stats = PtoStats::new();
         // Site A: commits on the fast path.
@@ -327,7 +88,6 @@ mod tests {
 
     #[test]
     fn armed_profiling_never_charges_virtual_time() {
-        let _g = serial();
         let w = TxWord::new(0);
         let stats = PtoStats::new();
         let run = || {
@@ -343,15 +103,5 @@ mod tests {
         let p = session.drain();
         assert!(p.total_cycles() > 0, "armed run attributed nothing");
         assert_eq!(plain, armed, "profiling perturbed the virtual clock");
-    }
-
-    #[test]
-    fn double_arm_panics_and_drop_disarms() {
-        let _g = serial();
-        let session = ProfileSession::arm();
-        assert!(std::panic::catch_unwind(ProfileSession::arm).is_err());
-        drop(session.drain());
-        drop(ProfileSession::arm());
-        ProfileSession::arm().drain();
     }
 }

@@ -9,11 +9,9 @@
 //! which is exactly the trend Figure 2(a) shows and PTO avoids by falling
 //! back to *lock-free* code instead.
 
-use crate::profile::{self, Phase};
 use pto_htm::{transaction_with, Abort, AbortCause, CauseCounters, TxOpts, TxResult, TxWord, Txn};
-use pto_sim::metrics::{self, Series};
+use pto_sim::obs::{self, Event, Site};
 use pto_sim::stats::Counter;
-use pto_sim::trace::{self, EventKind};
 use std::sync::atomic::Ordering;
 
 /// Dual-mode memory accessor: the sequential critical section is written
@@ -99,11 +97,8 @@ impl Tle {
     /// may run several times speculatively before one run takes effect).
     #[track_caller]
     pub fn execute<'e, T>(&'e self, mut body: impl FnMut(&mut Ctx<'_, 'e>) -> TxResult<T>) -> T {
-        let site = profile::caller_site();
-        let prof = profile::armed();
-        let mut acc = profile::LocalAcc::default();
+        let _op = obs::op(Site::caller());
         for _ in 0..self.attempts {
-            let t0 = if prof { pto_sim::now() } else { 0 };
             let r = transaction_with(self.opts, |tx| {
                 // Lock subscription: any lock acquisition during our window
                 // bumps the word's version and aborts us (strong atomicity).
@@ -114,15 +109,9 @@ impl Tle {
                 }
                 body(&mut Ctx::Tx(tx))
             });
-            if prof {
-                acc.add(Phase::Attempt, pto_sim::now() - t0);
-            }
             match r {
                 Ok(v) => {
                     self.stats.elided.inc();
-                    if prof {
-                        profile::charge(site, &acc);
-                    }
                     return v;
                 }
                 Err(cause) => self.stats.aborts.record(cause),
@@ -131,9 +120,7 @@ impl Tle {
         // Serialized fallback: acquire the global lock. For TLE the
         // "fallback" span covers the whole lock-acquire/run/release
         // section — lock waits show up as span length in a trace.
-        metrics::emit(Series::FallbackDepth, 1);
-        trace::emit(EventKind::FallbackEnter);
-        let t0 = if prof { pto_sim::now() } else { 0 };
+        obs::emit(Event::FallbackEnter);
         loop {
             if self.lock.load(Ordering::Acquire) == 0 && self.lock.cas(0, 1) {
                 break;
@@ -145,12 +132,7 @@ impl Tle {
         });
         self.lock.store(0, Ordering::Release);
         self.stats.locked.inc();
-        if prof {
-            acc.add(Phase::Fallback, pto_sim::now() - t0);
-            profile::charge(site, &acc);
-        }
-        trace::emit(EventKind::FallbackExit);
-        metrics::emit(Series::FallbackDepth, 0);
+        obs::emit(Event::FallbackExit);
         v
     }
 }

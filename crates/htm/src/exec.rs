@@ -11,8 +11,7 @@ use crate::stats;
 use crate::txn::{AbortCause, FenceMode, Txn};
 use crate::TxResult;
 use pto_sim::ctx;
-use pto_sim::metrics::{self, Series};
-use pto_sim::trace::{self, EventKind};
+use pto_sim::obs::{self, Event};
 use pto_sim::{charge, CostKind};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -243,78 +242,68 @@ pub fn transaction_owned<'e, T>(
     res
 }
 
-/// Shared attempt body. `owned` is `None` for the plain fast path — the
-/// charge/stats/trace/metrics sequence is byte-identical to the pre-PR 9
-/// `transaction_with`, so static-policy golden makespans are unaffected.
+/// Shared attempt body. `owned` is `None` for the plain fast path, which
+/// takes no middle-path step, so static-policy golden makespans do not
+/// depend on the middle path.
+///
+/// Every attempt is one `TxBegin` event, stamped before any charge, and
+/// one `TxCommit`/`TxAbort` after the last: the span is the attempt's
+/// whole virtual cost.
 fn transaction_impl<'e, T>(
     opts: TxOpts,
     owned: Option<(usize, u64)>,
     mut f: impl FnMut(&mut Txn<'e>) -> TxResult<T>,
 ) -> (Result<T, AbortCause>, bool) {
+    obs::emit(Event::TxBegin);
     // This HTM does not nest (real RTM nests by flattening; none of the
     // paper's prefixes need it). An inner TxBegin aborts like an
     // unsupported instruction would.
     let already = IN_TXN.with(|fl| fl.replace(true));
     if already {
-        stats::record_abort(AbortCause::Nested);
-        metrics::emit(Series::AbortNested, 1);
-        return (Err(AbortCause::Nested), false);
+        return (Err(aborted(AbortCause::Nested)), false);
     }
     let _guard = NestGuard;
 
     charge(CostKind::TxBegin);
     stats::record_begin();
     let rv = crate::orec::gvc_now();
-    trace::emit(EventKind::TxBegin { rv });
     let mut tx = Txn::new(rv, opts.fence_mode, opts.read_cap, opts.write_cap, owned);
     let res = match f(&mut tx) {
         Ok(_) if injection_strikes() => {
             charge(CostKind::TxAbort);
-            stats::record_abort(AbortCause::Spurious);
-            trace::emit(EventKind::TxAbort {
-                cause: AbortCause::Spurious.trace_code(),
-            });
-            metrics::emit(Series::AbortSpurious, 1);
-            Err(AbortCause::Spurious)
+            Err(aborted(AbortCause::Spurious))
         }
         Ok(_) if opts.chaos_abort_pct > 0 && chaos_strikes(opts.chaos_abort_pct) => {
             charge(CostKind::TxAbort);
-            stats::record_abort(AbortCause::Spurious);
-            trace::emit(EventKind::TxAbort {
-                cause: AbortCause::Spurious.trace_code(),
-            });
-            metrics::emit(Series::AbortSpurious, 1);
-            Err(AbortCause::Spurious)
+            Err(aborted(AbortCause::Spurious))
         }
         Ok(val) => match tx.commit() {
             Ok(wv) => {
                 stats::record_commit();
-                trace::emit(EventKind::TxCommit { wv });
-                metrics::emit(Series::Commits, 1);
+                obs::emit(Event::TxCommit { rv, wv });
                 Ok(val)
             }
             Err(cause) => {
                 charge(CostKind::TxAbort);
-                stats::record_abort(cause);
-                trace::emit(EventKind::TxAbort {
-                    cause: cause.trace_code(),
-                });
-                metrics::emit(Series::abort_for_code(cause.trace_code()), 1);
-                Err(cause)
+                Err(aborted(cause))
             }
         },
         Err(abort) => {
             charge(CostKind::TxAbort);
-            stats::record_abort(abort.cause);
-            trace::emit(EventKind::TxAbort {
-                cause: abort.cause.trace_code(),
-            });
-            metrics::emit(Series::abort_for_code(abort.cause.trace_code()), 1);
-            Err(abort.cause)
+            Err(aborted(abort.cause))
         }
     };
     let published = tx.owned_published();
     (res, published)
+}
+
+/// Count and report an abort; returns its cause.
+fn aborted(cause: AbortCause) -> AbortCause {
+    stats::record_abort(cause);
+    obs::emit(Event::TxAbort {
+        cause: cause.trace_code(),
+    });
+    cause
 }
 
 #[cfg(test)]

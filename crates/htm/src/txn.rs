@@ -61,8 +61,8 @@ impl AbortCause {
         matches!(self, AbortCause::Conflict | AbortCause::Spurious)
     }
 
-    /// Compact cause code carried in [`pto_sim::trace::EventKind::TxAbort`]
-    /// payloads; indexes [`pto_sim::trace::CAUSE_NAMES`]. The explicit
+    /// Compact cause code carried in [`pto_sim::obs::Event::TxAbort`]
+    /// payloads; indexes [`pto_sim::obs::CAUSE_NAMES`]. The explicit
     /// abort's 8-bit program code is not preserved in the trace.
     pub fn trace_code(self) -> u8 {
         match self {

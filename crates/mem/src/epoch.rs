@@ -15,9 +15,8 @@
 //! docs for why that is safe on this substrate.
 
 use crate::lazyslots::{self, LazySlots};
-use pto_sim::metrics::{self, Series};
+use pto_sim::obs::{self, Event};
 use pto_sim::pad::CachePadded;
-use pto_sim::trace::{self, EventKind};
 use pto_sim::{charge, CostKind};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -142,7 +141,7 @@ impl Drop for Guard {
                     .slot(self.slot)
                     .announce
                     .store(0, Ordering::Release);
-                trace::emit(EventKind::EpochUnpin);
+                obs::emit(Event::EpochUnpin);
             }
         });
     }
@@ -196,7 +195,7 @@ pub fn pin() -> Guard {
                 }
                 e = cur;
             }
-            trace::emit(EventKind::EpochPin);
+            obs::emit(Event::EpochPin);
         }
     });
     Guard { slot }
@@ -223,7 +222,9 @@ pub fn try_advance() -> bool {
             // Blocked: a pinned thread still announces an older epoch. The
             // gauge is the lag in advances (epochs move in steps of 2) —
             // a flat-lining nonzero series means reclamation is stalled.
-            metrics::emit(Series::EpochLag, e.saturating_sub(v & !1) >> 1);
+            obs::emit(Event::EpochLag {
+                lag: e.saturating_sub(v & !1) >> 1,
+            });
             return false;
         }
     }
@@ -232,8 +233,7 @@ pub fn try_advance() -> bool {
         .is_ok();
     if advanced {
         crate::counters::record_epoch_advance();
-        trace::emit(EventKind::EpochAdvance { epoch: e + 2 });
-        metrics::emit(Series::EpochLag, 0);
+        obs::emit(Event::EpochAdvance { epoch: e + 2 });
     }
     advanced
 }

@@ -24,9 +24,9 @@
 use crate::counters;
 use crate::lazyslots::{self, LazySlots};
 use crate::pool::Pool;
+use pto_sim::obs::{self, Event};
 use pto_sim::pad::CachePadded;
 use pto_sim::sync::Mutex;
-use pto_sim::trace::{self, EventKind};
 use pto_sim::{charge, CostKind};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -247,7 +247,7 @@ impl HazardDomain {
     /// accounting; the per-op costs are the protect/clear stores).
     pub fn scan<T: Default>(&self, pool: &Pool<T>) {
         counters::record_hazard_scan();
-        trace::emit(EventKind::HazardScanBegin);
+        obs::emit(Event::HazardScanBegin);
         let mut reclaimed = 0u64;
         // Snapshot the hazard table once.
         SCAN_SCRATCH.with(|s| {
@@ -288,7 +288,7 @@ impl HazardDomain {
             counters::record_orphans_drained(drained);
             reclaimed += drained;
         });
-        trace::emit(EventKind::HazardScanEnd { reclaimed });
+        obs::emit(Event::HazardScanEnd { reclaimed });
     }
 
     /// Number of currently published hazards (diagnostics).

@@ -28,7 +28,7 @@
 //! it never lets a slot recycle early.
 
 use crate::epoch;
-use pto_sim::metrics::{self, Series};
+use pto_sim::obs::{self, Event};
 use pto_sim::pad::CachePadded;
 use pto_sim::sync::Mutex;
 use pto_sim::{charge, charge_n, CostKind};
@@ -257,7 +257,7 @@ impl<T: Default> Pool<T> {
             }
             limbo.len() as u64
         };
-        metrics::emit(Series::LimboDepth, depth);
+        obs::emit(Event::LimboDepth { depth });
         pt.stage_len = 0;
     }
 
@@ -280,7 +280,7 @@ impl<T: Default> Pool<T> {
             }
             limbo.len() as u64
         };
-        metrics::emit(Series::LimboDepth, depth);
+        obs::emit(Event::LimboDepth { depth });
         crate::counters::record_limbo_reclaimed(ready.len() as u64);
         for idx in ready {
             self.push_free(idx);
@@ -305,7 +305,9 @@ impl<T: Default> Pool<T> {
         } else {
             self.alloc_slow(pt)
         };
-        metrics::emit(Series::PoolMagazine, pt.mag_len as u64);
+        obs::emit(Event::PoolMagazine {
+            len: pt.mag_len as u64,
+        });
         self.in_alloc.fetch_sub(1, Ordering::AcqRel);
         self.live.fetch_add(1, Ordering::Relaxed);
         idx
@@ -356,7 +358,9 @@ impl<T: Default> Pool<T> {
         }
         pt.mag[pt.mag_len] = idx;
         pt.mag_len += 1;
-        metrics::emit(Series::PoolMagazine, pt.mag_len as u64);
+        obs::emit(Event::PoolMagazine {
+            len: pt.mag_len as u64,
+        });
     }
 
     /// Retire a slot that may still be reachable by concurrent readers: it

@@ -43,8 +43,8 @@ pub const SLOT_MEM: usize = 2;
 pub const SLOT_LAT: usize = 3;
 /// Slot of `pto-sim`'s scoped history collector.
 pub const SLOT_HISTORY: usize = 4;
-/// Slot of `pto-sim`'s scoped metrics aggregation block.
-pub const SLOT_METRICS: usize = 5;
+/// Slot of `pto-sim`'s installed observation sessions ([`crate::obs`]).
+pub const SLOT_OBS: usize = 5;
 
 type Slot = Option<Arc<dyn Any + Send + Sync>>;
 

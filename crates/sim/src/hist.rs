@@ -81,40 +81,6 @@ impl Histogram {
             max: self.max.load(Ordering::Relaxed),
         }
     }
-
-    /// Add a snapshot's samples into this histogram (scope-flush path:
-    /// a scoped accumulator drains into the process-global one). Sum
-    /// saturates like [`Histogram::record`] does.
-    pub fn absorb(&self, s: &HistSnapshot) {
-        for (b, &n) in self.buckets.iter().zip(&s.buckets) {
-            if n > 0 {
-                b.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(s.count, Ordering::Relaxed);
-        let mut cur = self.sum.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_add(s.sum);
-            match self
-                .sum
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-        self.max.fetch_max(s.max, Ordering::Relaxed);
-    }
-
-    /// Zero everything (harness use, between scoped regions).
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
 }
 
 impl Default for Histogram {
@@ -271,15 +237,6 @@ mod tests {
         let t = hist_of(&wide);
         assert!(t.p999() < 16, "p99.9 {} must stay in the bulk", t.p999());
         assert_eq!(t.max, 100_000);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let h = Histogram::new();
-        h.record(5);
-        h.record(1 << 40);
-        h.reset();
-        assert_eq!(h.snapshot(), HistSnapshot::default());
     }
 
     #[test]

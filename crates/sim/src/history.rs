@@ -1,6 +1,6 @@
 //! Operation-history recording for linearizability checking.
 //!
-//! Where [`trace`](crate::trace) records low-level *events* (transaction
+//! Where [`obs`](crate::obs) records low-level *events* (transaction
 //! boundaries, epoch pins), this module records whole *operations* —
 //! invocation and response, stamped with the recording thread's virtual
 //! clock — so `pto-check` can replay them against a sequential
@@ -13,52 +13,43 @@
 //! must live next to [`clock`](crate::clock) so the stamps are the same
 //! virtual cycles every other subsystem reports.
 //!
-//! Design constraints mirror [`trace`](crate::trace):
+//! Recording is scoped: a [`ScopedHistory`] installs its collector in the
+//! current thread's [`ctx`](crate::ctx) slot, inherited by every `Sim::run`
+//! lane the thread spawns, so many histories can record concurrently on
+//! disjoint worker threads (the sharded lincheck explorer runs one per
+//! worker). Design constraints:
 //!
 //! 1. **Zero effect when disarmed.** [`record`] never calls
-//!    [`charge`](crate::charge) and its disarmed path is a single relaxed
-//!    atomic load, so virtual-time results are bit-identical with recording
-//!    compiled in but disarmed (the `golden_makespan` suite runs with the
-//!    hooks in place).
-//! 2. **Bounded memory.** Each per-thread buffer stores at most the session
+//!    [`charge`](crate::charge), and with no scope installed it is one
+//!    context-slot check, so virtual-time results are bit-identical with
+//!    recording compiled in but disarmed.
+//! 2. **Bounded memory.** Each per-thread buffer stores at most the scope's
 //!    capacity; overflow increments a drop counter, and a drained history
 //!    that dropped records is unusable for checking (the checker refuses
 //!    incomplete histories).
 //! 3. **No cross-thread coordination on the hot path.** Buffers are
-//!    thread-local; exiting threads park them into a collector the hot path
-//!    never locks.
+//!    thread-local; they park into the scope's collector, which the hot
+//!    path never locks.
 //!
-//! Unlike tracing — where a lost buffer merely thins the picture — a lost
-//! history makes the checker unsound, so collection must not depend on TLS
-//! destructor timing: `std::thread::scope` (which `Sim::run` uses) returns
-//! as soon as each worker's closure finishes, *before* the C runtime runs
-//! that thread's TLS destructors, so a buffer parked only by its destructor
-//! can arrive after [`HistorySession::drain`] already emptied the
-//! collector. Recording bodies therefore call [`flush`] as their last
-//! statement — a flush inside the closure happens-before the scope join and
-//! hence before the drain. The destructor still parks as a best-effort
-//! backup for plain `spawn`/`join` threads (pthread join waits out TLS
-//! destructors), and [`RawHistory::lost_threads`] counts any buffer that
-//! was created but never collected so a checker can refuse the history
-//! rather than silently verify a subset.
-
-//! Two arming modes share the machinery:
-//!
-//! * [`HistorySession`] — the original **process-global** session (at most
-//!   one armed at a time). Still what single-cell tests use.
-//! * [`ScopedHistory`] — a collector installed in the current thread's
-//!   [`ctx`](crate::ctx) slot and inherited by `Sim::run` lanes. Many
-//!   scoped histories can record concurrently on disjoint worker threads,
-//!   which is what lets `pto-check` shard its explorer cells across
-//!   cores. A thread with a scope installed records into the scope even
-//!   if a global session is armed elsewhere.
+//! A lost history makes the checker unsound, so collection must not depend
+//! on TLS destructor timing: `std::thread::scope` (which `Sim::run` uses)
+//! returns as soon as each worker's closure finishes, *before* that
+//! thread's TLS destructors run, so a buffer parked only by its destructor
+//! can arrive after [`ScopedHistory::drain`] already emptied the collector.
+//! Recording bodies therefore call [`flush`] as their last statement — a
+//! flush inside the closure happens-before the scope join and hence before
+//! the drain. The destructor still parks as a backup for plain
+//! `spawn`/`join` threads (pthread join waits out TLS destructors), and
+//! [`RawHistory::lost_threads`] counts any buffer that was created but
+//! never collected so a checker can refuse the history rather than
+//! silently verify a subset.
 
 use crate::sync::Mutex;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// Default per-thread operation capacity of a session.
+/// Default per-thread operation capacity of a scope.
 pub const DEFAULT_CAPACITY: usize = 1 << 20;
 
 /// One completed operation as the recorder saw it.
@@ -89,18 +80,8 @@ pub struct ThreadHistory {
     pub dropped: u64,
 }
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static SESSION: AtomicU64 = AtomicU64::new(0);
-static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
-static NEXT_ORDINAL: AtomicU64 = AtomicU64::new(0);
-
-fn collector() -> &'static Mutex<Vec<ThreadHistory>> {
-    static C: OnceLock<Mutex<Vec<ThreadHistory>>> = OnceLock::new();
-    C.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// The shared state behind a [`ScopedHistory`]: its own capacity, ordinal
-/// counter, and collector, fully independent of the global session.
+/// The shared state behind a [`ScopedHistory`]: its capacity, ordinal
+/// counter, and collector.
 pub struct HistoryScope {
     capacity: usize,
     next_ordinal: AtomicU64,
@@ -108,15 +89,13 @@ pub struct HistoryScope {
 }
 
 struct LocalHist {
-    /// The scope this buffer belongs to; `None` = the global session.
-    scope: Option<Arc<HistoryScope>>,
-    session: u64,
-    capacity: usize,
+    /// The scope this buffer belongs to.
+    scope: Arc<HistoryScope>,
     hist: ThreadHistory,
 }
 
 /// TLS wrapper whose destructor parks the thread's history when the thread
-/// exits mid-session (scoped sim threads exit before the drain).
+/// exits mid-recording (scoped sim threads exit before the drain).
 struct LocalSlot {
     slot: RefCell<Option<LocalHist>>,
 }
@@ -124,7 +103,7 @@ struct LocalSlot {
 impl Drop for LocalSlot {
     fn drop(&mut self) {
         if let Some(lh) = self.slot.borrow_mut().take() {
-            park_if_current(lh);
+            park(lh);
         }
     }
 }
@@ -137,51 +116,42 @@ thread_local! {
     };
 }
 
-fn park_if_current(lh: LocalHist) {
-    match lh.scope {
-        // A scoped buffer parks into its own collector — the Arc in the
-        // buffer keeps the scope alive past any guard, so TLS-destructor
-        // parking is race-free here.
-        Some(scope) => scope.collector.lock().push(lh.hist),
-        None => {
-            if lh.session == SESSION.load(Ordering::Acquire) {
-                collector().lock().push(lh.hist);
-            }
-        }
-    }
+/// Park a buffer into its scope's collector. The `Arc` in the buffer keeps
+/// the scope alive past its guard, so parking is race-free.
+fn park(lh: LocalHist) {
+    lh.scope.collector.lock().push(lh.hist);
 }
 
-/// Park the current thread's buffer into the session collector.
+/// Park the current thread's buffer into its scope's collector.
 ///
 /// Recording bodies that run under `std::thread::scope` (including every
 /// `Sim::run` lane body) must call this as their **last statement**: scope
 /// join does not wait for TLS destructors, so only an explicit flush is
 /// guaranteed to land before the harness drains. Safe to call when nothing
-/// was recorded or no session is armed (a no-op); recording again after a
+/// was recorded or no scope is installed (a no-op); recording again after a
 /// flush starts a fresh [`ThreadHistory`] with a new ordinal.
 pub fn flush() {
     let _ = LOCAL.try_with(|local| {
         if let Some(lh) = local.slot.borrow_mut().take() {
-            park_if_current(lh);
+            park(lh);
         }
     });
 }
 
-/// True while the current thread would record: a global
-/// [`HistorySession`] is armed or a [`ScopedHistory`] is installed on
-/// this thread (recorders may use this to skip building payloads;
+/// True while the current thread would record: a [`ScopedHistory`] is
+/// installed on it (recorders may use this to skip building payloads;
 /// [`record`] is safe to call either way).
 #[inline]
 pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed) || crate::ctx::is_set(crate::ctx::SLOT_HISTORY)
+    crate::ctx::is_set(crate::ctx::SLOT_HISTORY)
 }
 
 /// Record one completed operation on the current thread.
 ///
 /// `inv` and `res` are the caller's [`now`](crate::now) readings bracketing
-/// the operation (reading the clock charges nothing). A no-op (one relaxed
-/// load plus a context-slot check) unless armed for this thread; never
-/// charges virtual time.
+/// the operation (reading the clock charges nothing). A no-op (one
+/// context-slot check) unless armed for this thread; never charges
+/// virtual time.
 #[inline]
 pub fn record(op: u16, arg: u64, ret: u64, inv: u64, res: u64) {
     if !armed() {
@@ -192,50 +162,34 @@ pub fn record(op: u16, arg: u64, ret: u64, inv: u64, res: u64) {
 
 #[cold]
 fn record_slow(op: u16, arg: u64, ret: u64, inv: u64, res: u64) {
-    let scope = crate::ctx::get::<HistoryScope>(crate::ctx::SLOT_HISTORY);
-    let session = SESSION.load(Ordering::Acquire);
+    let Some(scope) = crate::ctx::get::<HistoryScope>(crate::ctx::SLOT_HISTORY) else {
+        return;
+    };
     // try_with: records arriving while TLS is being torn down are dropped.
     let _ = LOCAL.try_with(|local| {
         let mut slot = local.slot.borrow_mut();
-        let stale = match (slot.as_ref(), &scope) {
-            (None, _) => true,
-            // Scoped recording: the buffer must belong to *this* scope.
-            (Some(lh), Some(sc)) => match &lh.scope {
-                Some(cur) => !Arc::ptr_eq(cur, sc),
-                None => true,
-            },
-            // Global recording: no scope may linger, session must match.
-            (Some(lh), None) => lh.scope.is_some() || lh.session != session,
-        };
-        if stale {
-            // A buffer for a different owner parks rather than vanishes.
+        if slot
+            .as_ref()
+            .is_none_or(|lh| !Arc::ptr_eq(&lh.scope, &scope))
+        {
+            // A buffer for a different scope parks rather than vanishes.
             if let Some(old) = slot.take() {
-                park_if_current(old);
+                park(old);
             }
-            let (capacity, ordinal) = match &scope {
-                Some(sc) => (
-                    sc.capacity,
-                    sc.next_ordinal.fetch_add(1, Ordering::Relaxed),
-                ),
-                None => (
-                    CAPACITY.load(Ordering::Acquire),
-                    NEXT_ORDINAL.fetch_add(1, Ordering::Relaxed),
-                ),
-            };
+            let ordinal = scope.next_ordinal.fetch_add(1, Ordering::Relaxed);
+            let ops = Vec::with_capacity(scope.capacity.min(1024));
             *slot = Some(LocalHist {
-                scope: scope.clone(),
-                session,
-                capacity,
+                scope,
                 hist: ThreadHistory {
                     lane: crate::clock::current_lane(),
                     ordinal,
-                    ops: Vec::with_capacity(capacity.min(1024)),
+                    ops,
                     dropped: 0,
                 },
             });
         }
         let lh = slot.as_mut().unwrap();
-        if lh.hist.ops.len() >= lh.capacity {
+        if lh.hist.ops.len() >= lh.scope.capacity {
             lh.hist.dropped += 1;
         } else {
             lh.hist.ops.push(OpRecord {
@@ -249,12 +203,12 @@ fn record_slow(op: u16, arg: u64, ret: u64, inv: u64, res: u64) {
     });
 }
 
-/// A drained session: one [`ThreadHistory`] per recording thread, in
+/// A drained scope: one [`ThreadHistory`] per recording thread, in
 /// thread-creation order.
 #[derive(Debug)]
 pub struct RawHistory {
     pub threads: Vec<ThreadHistory>,
-    /// Buffers created during the session that never reached the collector
+    /// Buffers created during the recording that never reached the collector
     /// (a recording body exited without [`flush`] and its TLS destructor
     /// lost the race with the drain). Nonzero means the history is
     /// incomplete and must not be checked.
@@ -279,75 +233,15 @@ impl RawHistory {
     }
 }
 
-/// A scoped arming of the global history machinery. At most one session can
-/// be armed at a time; [`HistorySession::drain`] (or drop) disarms.
-///
-/// Drain sees only buffers that were parked — by [`flush`] at the end of
-/// each recording body (required under `Sim::run` / `std::thread::scope`;
-/// see the module docs) or by TLS destructors of plainly-joined threads —
-/// plus the draining thread's own buffer. Arm and drain from the harness
-/// thread that runs the sim; check [`RawHistory::lost_threads`] before
-/// trusting the result.
-#[must_use = "an unarmed session records nothing; call drain() to collect"]
-pub struct HistorySession {
-    _private: (),
-}
-
-impl HistorySession {
-    /// Arm recording with [`DEFAULT_CAPACITY`] operations per thread.
-    pub fn arm() -> HistorySession {
-        HistorySession::with_capacity(DEFAULT_CAPACITY)
-    }
-
-    /// Arm recording with an explicit per-thread operation capacity.
-    ///
-    /// Panics if a session is already armed.
-    pub fn with_capacity(capacity: usize) -> HistorySession {
-        assert!(capacity > 0, "history capacity must be positive");
-        assert!(
-            !ARMED.swap(true, Ordering::SeqCst),
-            "a HistorySession is already armed"
-        );
-        collector().lock().clear();
-        CAPACITY.store(capacity, Ordering::SeqCst);
-        NEXT_ORDINAL.store(0, Ordering::SeqCst);
-        SESSION.fetch_add(1, Ordering::SeqCst);
-        HistorySession { _private: () }
-    }
-
-    /// Disarm and collect everything recorded since arming.
-    pub fn drain(self) -> RawHistory {
-        ARMED.store(false, Ordering::SeqCst);
-        flush();
-        let mut threads = std::mem::take(&mut *collector().lock());
-        // Every buffer creation allocated an ordinal this session; one
-        // missing from the collector was never parked.
-        let lost_threads = NEXT_ORDINAL.load(Ordering::SeqCst) - threads.len() as u64;
-        threads.retain(|t| !t.ops.is_empty() || t.dropped > 0);
-        threads.sort_by_key(|t| t.ordinal);
-        RawHistory {
-            threads,
-            lost_threads,
-        }
-    }
-}
-
-impl Drop for HistorySession {
-    fn drop(&mut self) {
-        // Reached on drain (idempotent) and on an abandoned session.
-        ARMED.store(false, Ordering::SeqCst);
-    }
-}
-
 /// A thread-scoped history recording: installs a private collector in the
 /// current thread's context slot ([`ctx::SLOT_HISTORY`](crate::ctx)),
-/// inherited by every `Sim::run` lane this thread spawns. Unlike
-/// [`HistorySession`], any number of scoped histories may record
-/// concurrently on disjoint threads — the sharded lincheck explorer runs
-/// one per worker.
+/// inherited by every `Sim::run` lane this thread spawns. Any number of
+/// scoped histories may record concurrently on disjoint threads — the
+/// sharded lincheck explorer runs one per worker.
 ///
-/// The same flush discipline applies: recording bodies under
-/// `std::thread::scope` must call [`flush`] as their last statement.
+/// Recording bodies under `std::thread::scope` must call [`flush`] as
+/// their last statement (see the module docs); check
+/// [`RawHistory::lost_threads`] before trusting the drain.
 #[must_use = "records nothing once dropped; call drain() to collect"]
 pub struct ScopedHistory {
     scope: Arc<HistoryScope>,
@@ -398,59 +292,50 @@ impl ScopedHistory {
 mod tests {
     use super::*;
 
-    // Sessions are process-global; tests that arm must not overlap.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn disarmed_record_is_a_no_op() {
-        let _g = serial();
         record(1, 2, 3, 0, 10);
-        let raw = HistorySession::arm().drain();
-        assert_eq!(raw.ops(), 0);
         assert!(!armed());
+        let raw = ScopedHistory::arm().drain();
+        assert_eq!(raw.ops(), 0, "a record before arming leaked in");
     }
 
     #[test]
     fn records_round_trip_in_program_order() {
-        let _g = serial();
-        let session = HistorySession::arm();
+        let scoped = ScopedHistory::arm();
         assert!(armed());
         record(1, 100, 1, 0, 5);
         record(2, 200, 0, 5, 9);
-        let raw = session.drain();
-        let own = raw
-            .threads
-            .iter()
-            .find(|t| t.ops.iter().any(|o| o.arg == 100))
-            .expect("own thread history");
+        let raw = scoped.drain();
+        assert_eq!(raw.threads.len(), 1);
+        let own = &raw.threads[0];
         assert_eq!(own.ops.len(), 2);
         assert_eq!(own.ops[0], OpRecord { inv: 0, res: 5, op: 1, arg: 100, ret: 1 });
         assert_eq!(own.ops[1], OpRecord { inv: 5, res: 9, op: 2, arg: 200, ret: 0 });
-        // Recording after drain is a no-op.
+        // Recording after the drain is a no-op.
+        assert!(!armed(), "draining the scope disarms the thread");
         record(3, 300, 0, 9, 12);
-        let raw2 = HistorySession::arm().drain();
-        assert_eq!(raw2.ops(), 0);
+        assert_eq!(ScopedHistory::arm().drain().ops(), 0);
     }
 
     #[test]
     fn flushed_worker_histories_survive_scope_join() {
-        let _g = serial();
-        let session = HistorySession::arm();
+        let scoped = ScopedHistory::arm();
+        let inherited = crate::ctx::capture();
         std::thread::scope(|s| {
             s.spawn(|| {
+                crate::ctx::adopt(&inherited);
                 record(7, 1, 0, 0, 1);
                 record(7, 2, 0, 1, 2);
                 flush();
             });
             s.spawn(|| {
+                crate::ctx::adopt(&inherited);
                 record(7, 3, 0, 0, 1);
                 flush();
             });
         });
-        let raw = session.drain();
+        let raw = scoped.drain();
         assert_eq!(raw.lost_threads, 0);
         assert_eq!(raw.ops(), 3);
         // Two distinct thread histories with stable ordinals.
@@ -463,12 +348,15 @@ mod tests {
     fn joined_thread_history_is_parked_by_tls_destructor() {
         // Plain spawn + join waits for TLS destructors, so the backup
         // parking path collects without an explicit flush.
-        let _g = serial();
-        let session = HistorySession::arm();
-        std::thread::spawn(|| record(7, 9, 0, 0, 1))
-            .join()
-            .unwrap();
-        let raw = session.drain();
+        let scoped = ScopedHistory::arm();
+        let inherited = crate::ctx::capture();
+        std::thread::spawn(move || {
+            crate::ctx::adopt(&inherited);
+            record(7, 9, 0, 0, 1);
+        })
+        .join()
+        .unwrap();
+        let raw = scoped.drain();
         assert_eq!(raw.lost_threads, 0);
         assert_eq!(raw.ops(), 1);
         assert_eq!(raw.threads[0].ops[0].arg, 9);
@@ -479,42 +367,45 @@ mod tests {
         // A scoped worker that skips flush() may or may not win the TLS
         // destructor race against the drain; either way the accounting must
         // balance so the checker can tell whether the history is whole.
-        let _g = serial();
-        let session = HistorySession::arm();
+        let scoped = ScopedHistory::arm();
+        let inherited = crate::ctx::capture();
         std::thread::scope(|s| {
-            s.spawn(|| record(7, 1, 0, 0, 1));
+            s.spawn(|| {
+                crate::ctx::adopt(&inherited);
+                record(7, 1, 0, 0, 1);
+            });
         });
-        let raw = session.drain();
+        let raw = scoped.drain();
         assert_eq!(raw.threads.len() as u64 + raw.lost_threads, 1);
         assert_eq!(raw.complete(), raw.ops() == 1);
     }
 
     #[test]
     fn capacity_overflow_counts_drops() {
-        let _g = serial();
-        let session = HistorySession::with_capacity(3);
+        let scoped = ScopedHistory::with_capacity(3);
         for i in 0..10 {
             record(1, i, 0, i, i + 1);
         }
-        let raw = session.drain();
+        let raw = scoped.drain();
         assert_eq!(raw.ops(), 3);
         assert_eq!(raw.dropped(), 7);
+        assert!(!raw.complete());
     }
 
     #[test]
-    fn double_arm_panics_and_abandoned_session_disarms() {
-        let _g = serial();
-        let session = HistorySession::arm();
-        assert!(std::panic::catch_unwind(HistorySession::arm).is_err());
-        drop(session); // abandoned: must disarm
-        HistorySession::arm().drain();
-    }
-
-    #[test]
-    fn scoped_history_records_without_a_global_session() {
-        let _g = serial();
+    fn abandoned_scope_disarms() {
         let scoped = ScopedHistory::arm();
-        assert!(armed(), "scope must arm the current thread");
+        record(5, 1, 0, 0, 1);
+        drop(scoped); // abandoned: must uninstall
+        assert!(!armed());
+        record(5, 2, 0, 1, 2);
+        let raw = ScopedHistory::arm().drain();
+        assert_eq!(raw.ops(), 0, "an abandoned scope's buffer resurfaced");
+    }
+
+    #[test]
+    fn sim_lanes_record_into_the_spawners_scope() {
+        let scoped = ScopedHistory::arm();
         let out = crate::Sim::new(2).run(|lane| {
             let t0 = crate::now();
             crate::charge_cycles(10);
@@ -526,26 +417,21 @@ mod tests {
         assert_eq!(raw.lost_threads, 0);
         assert_eq!(raw.ops(), 2);
         assert!(!armed(), "dropping the scope disarms the thread");
-        // Nothing leaked into the global machinery.
-        let global = HistorySession::arm().drain();
-        assert_eq!(global.ops(), 0);
     }
 
     #[test]
     fn concurrent_scoped_histories_stay_isolated() {
-        // Two worker threads, each its own scope and its own 2-lane sim:
+        // Four worker threads, each its own scope and its own 2-lane sim:
         // the sharded-lincheck shape. Each drain must see exactly its own
         // cell's ops.
-        let _g = serial();
         std::thread::scope(|s| {
             let mut handles = Vec::new();
             for cell in 0..4u64 {
                 handles.push(s.spawn(move || {
                     let scoped = ScopedHistory::arm();
-                    crate::Sim::new(2).run(|lane| {
+                    crate::Sim::new(2).run(|_| {
                         for i in 0..10 + cell {
                             record(1, cell * 1000 + i, 0, i, i + 1);
-                            let _ = lane;
                         }
                         flush();
                     });
@@ -567,20 +453,8 @@ mod tests {
     }
 
     #[test]
-    fn scope_wins_over_an_armed_global_session() {
-        let _g = serial();
-        let session = HistorySession::arm();
-        let scoped = ScopedHistory::arm();
-        record(5, 42, 0, 0, 1);
-        let raw = scoped.drain();
-        assert_eq!(raw.ops(), 1);
-        assert_eq!(session.drain().ops(), 0);
-    }
-
-    #[test]
     fn lane_is_captured_from_the_gate() {
-        let _g = serial();
-        let session = HistorySession::arm();
+        let scoped = ScopedHistory::arm();
         let out = crate::Sim::new(2).run(|lane| {
             let t0 = crate::now();
             crate::charge_cycles(10);
@@ -588,7 +462,7 @@ mod tests {
             flush();
         });
         assert_eq!(out.per_thread.len(), 2);
-        let raw = session.drain();
+        let raw = scoped.drain();
         assert_eq!(raw.lost_threads, 0);
         let lanes: Vec<Option<usize>> = raw.threads.iter().map(|t| t.lane).collect();
         assert!(lanes.contains(&Some(0)) && lanes.contains(&Some(1)), "{lanes:?}");

@@ -26,20 +26,19 @@
 //! * [`sync`] — `parking_lot`-style `Mutex`/`Condvar` shims over `std::sync`.
 //! * [`proptest`] — proptest-lite, the in-tree property-test harness used by
 //!   every crate's differential-oracle suites.
-//! * [`trace`] — virtual-time event tracing: per-thread bounded buffers of
-//!   timestamped events armed by a scoped `TraceSession`, exported as Chrome
-//!   trace-event JSON (Perfetto-loadable) or a terminal span summary.
-//! * [`metrics`] — virtual-time counter time-series (commit/abort rates,
-//!   fallback occupancy, gate skew/parks, epoch lag, pool gauges) in
-//!   bounded per-lane rings armed by a scoped `MetricsSession`, exported
-//!   as Perfetto counter tracks merged into the trace JSON, plus per-cell
-//!   `MetricsScope` aggregates for the bench reports.
+//! * [`obs`] — observation: every instrumented site emits one `Event`;
+//!   a scoped, nestable `Session` (inherited by [`Sim`] lanes and [`par`]
+//!   workers) folds the stream into counter series and per-call-site
+//!   attribution and keeps a bounded event ring, exported as Chrome
+//!   trace-event JSON (spans plus counter tracks) or a span summary.
+//!   [`metrics`] keeps the per-cell names (`MetricsScope`, `Series`) as a
+//!   view over it.
 //! * [`hist`] — log2-bucketed latency histograms (p50/p90/p99/max in
 //!   virtual cycles) recorded by the bench drivers.
 //! * [`history`] — operation-history recording (invocation/response with
 //!   virtual timestamps) consumed by the `pto-check` linearizability
 //!   checker.
-//! * [`json`] — a minimal JSON reader backing the trace validator.
+//! * [`json`] — a minimal JSON reader backing the Chrome-export validator.
 //! * [`ctx`] — scoped per-thread context slots (stats scopes, injection
 //!   schedules, RNG stream keys) inherited by [`Sim`] lane threads, the
 //!   isolation layer for sharded harness runs.
@@ -59,7 +58,7 @@ pub mod ctx;
 pub mod hist;
 pub mod history;
 pub mod json;
-pub mod metrics;
+pub mod obs;
 pub mod pad;
 pub mod par;
 pub mod proptest;
@@ -67,7 +66,14 @@ pub mod rng;
 pub mod sched;
 pub mod stats;
 pub mod sync;
-pub mod trace;
+
+/// The per-cell metrics names over [`obs`], kept for the benchmark: a
+/// `MetricsScope` is a fold-only observation session read through
+/// `snapshot()`.
+pub mod metrics {
+    pub use crate::obs::Series;
+    pub type MetricsScope = crate::obs::Session;
+}
 
 pub use clock::{charge, charge_cycles, charge_n, now, spin_wait_tick};
 pub use cost::{CostKind, CostProfile};

@@ -252,13 +252,10 @@ impl Gate {
         }
         // Too far ahead: wait for stragglers. The wait spans zero virtual
         // time (waiting charges nothing); the trace events mark where this
-        // lane stalled — long waits point at load imbalance.
-        crate::trace::emit(crate::trace::EventKind::GateWaitBegin);
+        // lane stalled — long waits point at load imbalance. The skew is
+        // how far this lane's clock ran ahead of the exact minimum.
+        crate::obs::emit(crate::obs::Event::GateWaitBegin { skew: now - m });
         self.parks.fetch_add(1, Ordering::Relaxed);
-        crate::metrics::emit(crate::metrics::Series::GateParks, 1);
-        // Skew at park time: how far this lane's clock ran ahead of the
-        // exact minimum. (Gauge — the time-series shows imbalance pulses.)
-        crate::metrics::emit(crate::metrics::Series::GateSkew, now - m);
         let mut polls: u32 = 0;
         loop {
             std::thread::yield_now();
@@ -271,14 +268,14 @@ impl Gate {
                 // climbers parked), refresh it exactly rather than spin
                 // on a bound nobody is raising.
                 self.backstops.fetch_add(1, Ordering::Relaxed);
-                crate::metrics::emit(crate::metrics::Series::GateBackstops, 1);
+                crate::obs::emit(crate::obs::Event::GateBackstop);
                 let m = self.exact_min_and_publish();
                 if now <= m.saturating_add(self.quantum) {
                     break;
                 }
             }
         }
-        crate::trace::emit(crate::trace::EventKind::GateWaitEnd);
+        crate::obs::emit(crate::obs::Event::GateWaitEnd);
     }
 
     /// Mark `lane` finished: it no longer constrains the minimum. The
@@ -389,12 +386,6 @@ impl Sim {
                     struct DetachOnExit;
                     impl Drop for DetachOnExit {
                         fn drop(&mut self) {
-                            // Park observer tracks before detaching: the
-                            // scope join does not wait for this thread's
-                            // TLS destructors, so a session drained right
-                            // after `run` would miss them.
-                            crate::trace::flush_local();
-                            crate::metrics::flush_local();
                             crate::clock::detach();
                         }
                     }

@@ -1,8 +1,9 @@
-//! Zero-overhead regression for the metrics and attribution subsystems
-//! (PR 8): a disarmed metrics emit is a single relaxed load, and an armed
-//! [`MetricsSession`] / [`ProfileSession`] only *reads* the virtual clock
-//! — so instrumented and uninstrumented runs of a deterministic workload
-//! must produce *bit-identical* virtual-time results.
+//! Zero-overhead regression for the series and attribution folds: an
+//! emit with no session live is a single relaxed load, and an armed
+//! observation session ([`MetricsScope`], [`ProfileSession`]) only *reads*
+//! the virtual clock — so instrumented and uninstrumented runs of a
+//! deterministic workload must produce *bit-identical* virtual-time
+//! results.
 //!
 //! Same discipline as `trace_overhead.rs`: the workload avoids chaos
 //! injection, transient aborts, and cross-lane conflicts, so the makespan
@@ -11,7 +12,8 @@
 use pto_core::policy::{pto, PtoPolicy, PtoStats};
 use pto_core::profile::ProfileSession;
 use pto_htm::TxWord;
-use pto_sim::metrics::{self, MetricsSession, Series};
+use pto_sim::metrics::{MetricsScope, Series};
+use pto_sim::obs::{self, Event};
 use pto_sim::{charge, CostKind, Sim};
 use std::sync::Mutex;
 
@@ -71,21 +73,19 @@ fn armed_metrics_session_changes_no_virtual_time_outcome() {
     let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let before = workload();
 
-    let session = MetricsSession::arm();
+    let scope = MetricsScope::new();
     let armed = workload();
-    let m = session.drain();
+    let m = scope.snapshot();
+    drop(scope);
+    assert!(m.total(Series::Commits) > 0, "armed run folded no commits");
     assert!(
-        m.final_total(Series::Commits) > 0,
-        "armed run sampled no commit series"
-    );
-    assert!(
-        m.final_total(Series::AbortExplicit) > 0,
-        "armed run sampled no abort series"
+        m.total(Series::AbortExplicit) > 0,
+        "armed run folded no aborts"
     );
 
     let after = workload();
 
-    // Armed sampling reads the clock but never charges it; disarmed emits
+    // Armed folding reads the clock but never charges it; disarmed emits
     // are dead relaxed loads. The whole outcome tuple — makespan, per-lane
     // finish times, commit and fallback counts — is identical in all three
     // configurations.
@@ -121,13 +121,13 @@ fn disarmed_metrics_emit_charges_nothing() {
         charge(CostKind::Work);
     }
     let plain = pto_sim::now();
-    // ...must land on the same clock as the same loop with a disarmed
-    // metrics emit (and a disarmed closure-form emit) per iteration.
+    // ...must land on the same clock as the same loop with disarmed
+    // counter emits per iteration.
     pto_sim::clock::reset();
     for _ in 0..1_000 {
         charge(CostKind::Work);
-        metrics::emit(Series::Commits, 1);
-        metrics::emit_with(Series::GateSkew, || unreachable!("disarmed: not evaluated"));
+        obs::emit(Event::TxCommit { rv: 0, wv: 0 });
+        obs::emit(Event::GateWaitBegin { skew: 1 });
     }
     assert_eq!(pto_sim::now(), plain);
 }

@@ -8,6 +8,10 @@
 //! backoff draw from per-lane seeded streams, so every number below is a
 //! pure function of the op sequence. A change to how observation is
 //! collected must leave all of them unchanged.
+//!
+//! The sessions nest the way the benchmark arms them: a `MetricsScope`,
+//! then a `ProfileSession` inside it, drained first. Both must see every
+//! event.
 
 use pto_core::fc::FlatCombining;
 use pto_core::policy::{pto, pto2, pto_adaptive, AdaptivePolicy, PtoPolicy, PtoStats};
@@ -15,7 +19,7 @@ use pto_core::profile::{ProfileSession, N_PHASES};
 use pto_core::tle::Tle;
 use pto_htm::{TxOpts, TxWord};
 use pto_sim::metrics::MetricsScope;
-use pto_sim::trace::{EventKind, TraceSession};
+use pto_sim::obs::{Capture, Event};
 use pto_sim::Sim;
 
 fn workload() -> u64 {
@@ -154,27 +158,28 @@ fn workload() -> u64 {
 }
 
 /// Counts of the event kinds every observer version records.
-fn kind_counts(trace: &pto_sim::trace::Trace) -> [u64; 16] {
+fn kind_counts(trace: &Capture) -> [u64; 16] {
     let mut n = [0u64; 16];
     for t in &trace.tracks {
         for e in &t.events {
-            let k = match e.kind {
-                EventKind::TxBegin { .. } => 0,
-                EventKind::TxCommit { .. } => 1,
-                EventKind::TxAbort { .. } => 2,
-                EventKind::FallbackEnter => 3,
-                EventKind::FallbackExit => 4,
-                EventKind::BackoffBegin { .. } => 5,
-                EventKind::BackoffEnd => 6,
-                EventKind::EpochPin => 7,
-                EventKind::EpochUnpin => 8,
-                EventKind::EpochAdvance { .. } => 9,
-                EventKind::HazardScanBegin => 10,
-                EventKind::HazardScanEnd { .. } => 11,
-                EventKind::GateWaitBegin => 12,
-                EventKind::GateWaitEnd => 13,
-                EventKind::CombineBegin => 14,
-                EventKind::CombineEnd { .. } => 15,
+            let k = match e.event {
+                Event::TxBegin => 0,
+                Event::TxCommit { .. } => 1,
+                Event::TxAbort { .. } => 2,
+                Event::FallbackEnter => 3,
+                Event::FallbackExit => 4,
+                Event::BackoffBegin { .. } => 5,
+                Event::BackoffEnd => 6,
+                Event::EpochPin => 7,
+                Event::EpochUnpin => 8,
+                Event::EpochAdvance { .. } => 9,
+                Event::HazardScanBegin => 10,
+                Event::HazardScanEnd { .. } => 11,
+                Event::GateWaitBegin { .. } => 12,
+                Event::GateWaitEnd => 13,
+                Event::CombineBegin => 14,
+                Event::CombineEnd { .. } => 15,
+                _ => continue,
             };
             n[k] += 1;
         }
@@ -184,21 +189,21 @@ fn kind_counts(trace: &pto_sim::trace::Trace) -> [u64; 16] {
 
 #[test]
 fn observer_folds_of_a_deterministic_workload_are_pinned() {
-    let t = TraceSession::with_capacity(1 << 20);
     let m = MetricsScope::new();
-    let p = ProfileSession::arm();
+    let p = ProfileSession::with_capacity(1 << 20);
     let makespan = workload();
     let prof = p.drain();
     let met = m.snapshot();
-    let trace = t.drain();
+    let trace = &prof;
     assert_eq!(trace.dropped(), 0);
+    assert_eq!(prof.series, met, "the nested sessions saw different events");
 
     assert_eq!(makespan, 50_924);
     // TxBegin, TxCommit, TxAbort, FallbackEnter/Exit, BackoffBegin/End,
     // EpochPin/Unpin, EpochAdvance, HazardScanBegin/End, GateWaitBegin/End,
     // CombineBegin/End.
     assert_eq!(
-        kind_counts(&trace),
+        kind_counts(trace),
         [226, 102, 124, 108, 108, 41, 41, 64, 64, 17, 0, 0, 0, 0, 24, 24]
     );
     // Per series, in `Series` index order: emissions, emitted sum, max.

@@ -10,27 +10,27 @@
 
 use pto_core::policy::{pto, PtoPolicy, PtoStats};
 use pto_htm::TxWord;
-use pto_sim::trace::{EventKind, TraceSession};
+use pto_sim::obs::{Capture, Event, Session};
 use pto_sim::Sim;
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
-// The trace collector and the virtual clock are process-global; tests in
-// this binary run on parallel threads, so serialize armed sections.
+// Tests in this binary run on parallel threads and reset the virtual
+// clock; serialize them.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Committed spans as (begin_ts, rv, commit_ts, wv), extracted per track
 /// with a pending-begin state machine (aborted attempts clear it).
-fn committed_spans(trace: &pto_sim::trace::Trace) -> Vec<(u64, u64, u64, u64)> {
+fn committed_spans(trace: &Capture) -> Vec<(u64, u64, u64, u64)> {
     let mut spans = Vec::new();
     for t in &trace.tracks {
-        let mut pending: Option<(u64, u64)> = None;
+        let mut pending: Option<u64> = None;
         for e in &t.events {
-            match e.kind {
-                EventKind::TxBegin { rv } => pending = Some((e.ts, rv)),
-                EventKind::TxAbort { .. } => pending = None,
-                EventKind::TxCommit { wv } => {
-                    if let Some((ts0, rv)) = pending.take() {
+            match e.event {
+                Event::TxBegin => pending = Some(e.ts),
+                Event::TxAbort { .. } => pending = None,
+                Event::TxCommit { rv, wv } => {
+                    if let Some(ts0) = pending.take() {
                         spans.push((ts0, rv, e.ts, wv));
                     }
                 }
@@ -49,7 +49,7 @@ fn committed_rmw_spans_on_one_word_serialize() {
     // cycles between the version bump and the commit event) for the
     // cycle-time tolerance. The version-interval check below is exact.
     const SKEW: u64 = 128;
-    let session = TraceSession::arm();
+    let session = Session::arm();
     let shared = TxWord::new(0);
     // Per-lane private reads pad every span well past SKEW cycles.
     let privs: Vec<Vec<TxWord>> = (0..4)
@@ -130,7 +130,7 @@ fn committed_rmw_spans_on_one_word_serialize() {
 #[test]
 fn fallback_entered_exactly_when_budget_exhausted() {
     let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let session = TraceSession::arm();
+    let session = Session::arm();
     pto_sim::clock::reset();
     let w = TxWord::new(0);
     let policy = PtoPolicy::with_attempts(3).with_chaos(100);
@@ -158,12 +158,12 @@ fn fallback_entered_exactly_when_budget_exhausted() {
     let seq: String = tracks
         .iter()
         .flat_map(|t| t.events.iter())
-        .filter_map(|e| match e.kind {
-            EventKind::TxBegin { .. } => Some('B'),
-            EventKind::TxCommit { .. } => Some('C'),
-            EventKind::TxAbort { .. } => Some('A'),
-            EventKind::FallbackEnter => Some('F'),
-            EventKind::FallbackExit => Some('X'),
+        .filter_map(|e| match e.event {
+            Event::TxBegin => Some('B'),
+            Event::TxCommit { .. } => Some('C'),
+            Event::TxAbort { .. } => Some('A'),
+            Event::FallbackEnter => Some('F'),
+            Event::FallbackExit => Some('X'),
             _ => None,
         })
         .collect();

@@ -1,8 +1,7 @@
-//! Zero-overhead regression (PR 3 satellite): tracing that is armed never
-//! charges the virtual clock, and tracing that is disarmed is a single
-//! relaxed load — so traced, disarmed, and never-traced runs of a
-//! deterministic workload must produce *bit-identical* virtual-time
-//! results.
+//! Zero-overhead regression: an armed observation session never charges
+//! the virtual clock, and an emit with no session live is a single relaxed
+//! load — so traced, disarmed, and never-traced runs of a deterministic
+//! workload must produce *bit-identical* virtual-time results.
 //!
 //! The workload avoids every nondeterminism source on purpose: no chaos
 //! injection and no transient aborts (both draw from order-seeded RNGs),
@@ -12,7 +11,7 @@
 
 use pto_core::policy::{pto, PtoPolicy, PtoStats};
 use pto_htm::TxWord;
-use pto_sim::trace::{self, EventKind, TraceSession};
+use pto_sim::obs::{self, Event, Session};
 use pto_sim::{charge, CostKind, Sim};
 use std::sync::Mutex;
 
@@ -61,7 +60,7 @@ fn disarmed_tracing_reproduces_untraced_results_exactly() {
     let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (m_before, t_before) = workload();
 
-    let session = TraceSession::arm();
+    let session = Session::arm();
     let (m_armed, t_armed) = workload();
     let captured = session.drain();
     assert!(captured.events() > 0, "armed run captured nothing");
@@ -92,7 +91,7 @@ fn disarmed_emit_sites_charge_nothing() {
     pto_sim::clock::reset();
     for _ in 0..1_000 {
         charge(CostKind::Work);
-        trace::emit(EventKind::EpochPin);
+        obs::emit(Event::EpochPin);
     }
     assert_eq!(pto_sim::now(), plain);
 }
