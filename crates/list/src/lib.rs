@@ -249,8 +249,10 @@ impl HarrisList {
     // Prefix transactions
     // ------------------------------------------------------------------
 
-    /// Whole-op search inside the transaction.
-    fn tx_search<'e>(&'e self, tx: &mut Txn<'e>, key: u32) -> TxResult<(u32, u32, u64)> {
+    /// Whole-op search inside the transaction: `(pred, curr, curr's link,
+    /// curr's key)`. The key comes back so the update phase never reads it
+    /// twice.
+    fn tx_search<'e>(&'e self, tx: &mut Txn<'e>, key: u32) -> TxResult<(u32, u32, u64, u32)> {
         let mut pred = HEAD;
         let mut link = tx.read(self.next(pred))?;
         loop {
@@ -265,7 +267,7 @@ impl HarrisList {
                 if marked(clink) {
                     return Err(tx.abort(pto_core::ABORT_HELP));
                 }
-                return Ok((pred, curr, clink));
+                return Ok((pred, curr, clink, k));
             }
             pred = curr;
             link = clink;
@@ -278,8 +280,8 @@ impl HarrisList {
         key: u32,
         node: &InsertNode,
     ) -> TxResult<bool> {
-        let (pred, curr, _) = self.tx_search(tx, key)?;
-        if tx.read(&self.nodes.get(curr).key)? as u32 == key {
+        let (pred, curr, _, k) = self.tx_search(tx, key)?;
+        if k == key {
             return Ok(false);
         }
         let n = self.insert_node(key, curr, node);
@@ -293,8 +295,8 @@ impl HarrisList {
     /// elimination), yet the victim's next-word still changes so stale
     /// fallback CASes on it fail.
     fn tx_remove_whole<'e>(&'e self, tx: &mut Txn<'e>, key: u32) -> TxResult<Option<(bool, u32)>> {
-        let (pred, curr, clink) = self.tx_search(tx, key)?;
-        if tx.read(&self.nodes.get(curr).key)? as u32 != key {
+        let (pred, curr, clink, k) = self.tx_search(tx, key)?;
+        if k != key {
             return Ok(Some((false, NIL)));
         }
         let succ = idx_of(clink);
