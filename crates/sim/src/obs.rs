@@ -1413,10 +1413,17 @@ mod tests {
                 .collect();
             for h in handles {
                 let (tag, cap) = h.join().unwrap();
-                // Besides the lanes' own events, only their gate waits.
+                // Besides the lanes' own events, only their gate waits: a
+                // wait's begin and end, and the exact-scan backstops a
+                // wait fires when the host deschedules the other lane.
                 let evs: Vec<_> = kinds(&cap)
                     .into_iter()
-                    .filter(|e| !matches!(e, Event::GateWaitBegin { .. } | Event::GateWaitEnd))
+                    .filter(|e| {
+                        !matches!(
+                            e,
+                            Event::GateWaitBegin { .. } | Event::GateBackstop | Event::GateWaitEnd
+                        )
+                    })
                     .collect();
                 assert_eq!(evs.len(), 100, "session {tag}");
                 assert!(evs
