@@ -11,6 +11,7 @@
 
 use pto_mem::{HazardDomain, Pool};
 use pto_sim::{CostKind, CostProfile, Sim};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 #[derive(Default)]
 struct Node {
@@ -22,6 +23,11 @@ fn five_hundred_twelve_lanes_pin_alloc_and_protect() {
     const LANES: usize = 512;
     let pool: Pool<Node> = Pool::new();
     let dom = HazardDomain::new();
+    // Per lane, the cycles of its fixed-cost substrate calls (pin/unpin,
+    // protect/clear, free/retire). A lane's whole clock also holds
+    // `alloc`'s `AllocContend` term, which counts the lanes the host
+    // happens to run inside `alloc` at that moment.
+    let tariffs: Vec<AtomicU64> = (0..LANES).map(|_| AtomicU64::new(0)).collect();
     let out = Sim {
         threads: LANES,
         quantum: 400,
@@ -32,21 +38,26 @@ fn five_hundred_twelve_lanes_pin_alloc_and_protect() {
         // epoch registry (pin), the pool magazines (alloc/retire/free) and
         // a hazard lane (protect/clear) — all beyond slot 128 for most
         // lanes, which the flat tables this PR replaced could not seat.
+        let mut tariff = 0;
         for round in 0..3u64 {
-            let g = pto_mem::epoch::pin();
+            let (g, pin) = timed(pto_mem::epoch::pin);
             let idx = pool.alloc();
             pool.get(idx).v.init(lane as u64 * 8 + round);
-            dom.protect(0, idx);
+            let ((), protect) = timed(|| dom.protect(0, idx));
             assert_eq!(pool.get(idx).v.peek(), lane as u64 * 8 + round);
-            dom.clear(0);
-            drop(g);
-            if round % 2 == 0 {
-                pool.free_now(idx);
-            } else {
-                pool.retire(idx);
-            }
+            let ((), release) = timed(|| {
+                dom.clear(0);
+                drop(g);
+                if round % 2 == 0 {
+                    pool.free_now(idx);
+                } else {
+                    pool.retire(idx);
+                }
+            });
+            tariff += pin + protect + release;
             pto_sim::charge(CostKind::Work);
         }
+        tariffs[lane].store(tariff, Ordering::Relaxed);
     });
     assert_eq!(out.per_thread.len(), LANES);
     assert!(out.makespan > 0);
@@ -54,14 +65,25 @@ fn five_hundred_twelve_lanes_pin_alloc_and_protect() {
     assert_eq!(pool.live(), 0, "leaked pool slots at 512 lanes");
     assert_eq!(dom.active_hazards(), 0, "stale hazards at 512 lanes");
     // NUMA profile sanity at scale: socket-0 lanes pay the Haswell local
-    // tariff, all other sockets the remote one, so a remote lane's clock
-    // must be strictly ahead of its socket-0 twin running the same body.
+    // tariff, all other sockets the remote one, so a remote lane's
+    // fixed-cost calls must cost strictly more than its socket-0 twin's.
+    let tariffs: Vec<u64> = tariffs.iter().map(|t| t.load(Ordering::Relaxed)).collect();
+    let (local, remote) = (tariffs[0], tariffs[8]);
     assert!(
-        out.per_thread[8] > out.per_thread[0],
-        "remote lane {} not slower than local lane {}",
-        out.per_thread[8],
-        out.per_thread[0]
+        remote > local,
+        "remote lane {remote} not slower than local lane {local}"
     );
+    for (lane, &t) in tariffs.iter().enumerate() {
+        let want = if lane < 8 { local } else { remote };
+        assert_eq!(t, want, "lane {lane} paid another socket's tariff");
+    }
+}
+
+/// `f`'s result and the virtual cycles it charged this lane.
+fn timed<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let t = pto_sim::now();
+    let r = f();
+    (r, pto_sim::now() - t)
 }
 
 #[test]
