@@ -217,6 +217,15 @@ impl TxWord {
     /// freshly allocated, not-yet-published pool slot). Bumps the version so
     /// any stale transactional reader of a recycled slot aborts, but charges
     /// only a plain store.
+    ///
+    /// Inside a running transaction, initialize through [`crate::Txn::write`]
+    /// instead. The version bump lands at once, on an orec shared by
+    /// every word that hashes to it, so a word of the running transaction's
+    /// own read set that aliases the slot makes it fail validation: a
+    /// Conflict abort with nothing else running, recurring on every retry
+    /// that reuses the slot, and varying with heap addresses from run to
+    /// run. A buffered write charges no more, and its commit stamps the
+    /// slot's orecs, so stale readers still abort.
     #[inline]
     pub fn init(&self, v: u64) {
         charge(CostKind::SharedStore);
