@@ -144,6 +144,7 @@ fn main() {
         Job { name: "list/pto-update", kind: Kind::Set(|| Box::new(HarrisList::new(ListVariant::PtoUpdate)), &SET_PREFILL) },
         Job { name: "hashtable/lockfree", kind: Kind::Set(|| Box::new(FSetHashTable::new(HashVariant::LockFree, 4)), &SET_PREFILL) },
         Job { name: "hashtable/pto", kind: Kind::Set(|| Box::new(FSetHashTable::new(HashVariant::Pto, 4)), &SET_PREFILL) },
+        Job { name: "hashtable/pto-inplace", kind: Kind::Set(|| Box::new(FSetHashTable::new(HashVariant::PtoInplace, 4)), &SET_PREFILL) },
         Job { name: "skiplist/lockfree", kind: Kind::Set(|| Box::new(SkipListSet::new_lockfree()), &SET_PREFILL) },
         Job { name: "skiplist/pto", kind: Kind::Set(|| Box::new(SkipListSet::new_pto()), &SET_PREFILL) },
         Job { name: "bst/lockfree", kind: Kind::Set(|| Box::new(Bst::new(BstVariant::LockFree)), &SET_PREFILL) },

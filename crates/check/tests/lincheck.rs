@@ -149,6 +149,9 @@ fn list_and_hashtable_variants_linearize() {
     check_set("hashtable/pto", &|| {
         Box::new(FSetHashTable::new(HashVariant::Pto, 4))
     });
+    check_set("hashtable/pto-inplace", &|| {
+        Box::new(FSetHashTable::new(HashVariant::PtoInplace, 4))
+    });
     check_set("set/tle-generic", &|| Box::new(TleSet::new(24)));
 }
 
