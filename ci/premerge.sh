@@ -42,8 +42,8 @@ step "tier-1: cargo test -q" cargo test -q
 step "workspace tests: every crate's unit and integration tests" \
     cargo test --workspace -q
 
-step "crate tests: BST, Harris list and hash table tests (allocation, leak and cost regressions)" \
-    cargo test -q --release -p pto-bst -p pto-list -p pto-hashtable
+step "crate tests: BST, Harris list, hash table and Mound tests (allocation, leak and cost regressions)" \
+    cargo test -q --release -p pto-bst -p pto-list -p pto-hashtable -p pto-mound
 
 step "lincheck: linearizability of every structure variant (crates/check/tests)" \
     cargo test -q --release -p pto-check --test lincheck

@@ -7,8 +7,11 @@
 //!
 //! * **insert(v)** — pick a random leaf with `val ≥ v`, binary-search the
 //!   leaf→root path for the highest node `n` with `val(n) ≥ v` and
-//!   `val(parent(n)) ≤ v`, and prepend `v` to `n`'s list with a **DCSS**
-//!   (condition: parent unchanged; target: `n`'s packed word).
+//!   `val(parent(n)) < v`, and prepend `v` to `n`'s list with a **DCSS**
+//!   (condition: parent unchanged; target: `n`'s packed word). One list
+//!   cell serves every attempt of a push: it stays private until the CAS
+//!   or DCSS that publishes it succeeds, so a lost attempt rewrites only
+//!   its `next`.
 //! * **removeMin()** — pop the head of the root's list with a CAS (marking
 //!   the root *dirty*), then restore the mound property top-down
 //!   (`moundify`): each step swaps a node's list with its smaller child's
@@ -25,7 +28,13 @@
 //! improvement.
 //!
 //! Node words pack `(list-head index, dirty, counter)` into ≤ 62 bits
-//! (kcas-managed words reserve the top two bits for descriptor tags).
+//! (kcas-managed words reserve the top two bits for descriptor tags). The
+//! counter is bumped on every write, so each step can trust the words it
+//! already holds: `insert` hands the words its search read to the root CAS
+//! or the DCSS, and `moundify` carries the word its DCAS wrote into the
+//! child to the next level. A carried word is only ever an expected value,
+//! and no list cell is recycled while the op holds its epoch pin, so a
+//! stale word costs one failed attempt, never a wrong write.
 
 use pto_core::compose::Anchor;
 use pto_core::kcas::{self, DcssResult, Heap};
@@ -233,37 +242,38 @@ impl Mound {
         }
     }
 
-    fn val(&self, idx: usize) -> u32 {
-        self.word_val(kcas::read(self, idx as u64))
-    }
-
     // -- insert ---------------------------------------------------------
 
     /// Binary search the root→`leaf` path for the highest node with
-    /// `val ≥ v` (the path is value-sorted under the mound property; any
-    /// raciness is caught by the DCSS validation).
-    fn find_insert_point(&self, leaf: usize, v: u32, depth: u32) -> usize {
+    /// `val ≥ v` (the path is value-sorted under the mound property).
+    /// `c_leaf` is the leaf's word (`val ≥ v`). Returns that node, the word
+    /// read there and, below the root, the word read at its parent.
+    fn find_insert_point(&self, leaf: usize, c_leaf: u64, v: u32, depth: u32) -> (usize, u64, u64) {
         // Path positions: 0 = root, depth-1 = leaf. Node at position k:
         // leaf >> (depth-1-k).
         let d = depth - 1;
         let mut lo = 0u32; // highest known position with val >= v is >= lo
         let mut hi = d; // leaf position
+        let (mut c_hi, mut c_lo_parent) = (c_leaf, 0);
         // Invariant target: smallest position p such that val(node(p)) >= v.
         while lo < hi {
             let mid = (lo + hi) / 2;
-            let node = leaf >> (d - mid);
-            if self.val(node) >= v {
-                hi = mid;
+            let c = kcas::read(self, (leaf >> (d - mid)) as u64);
+            if self.word_val(c) >= v {
+                (hi, c_hi) = (mid, c);
             } else {
-                lo = mid + 1;
+                (lo, c_lo_parent) = (mid + 1, c);
             }
         }
-        leaf >> (d - lo)
+        (leaf >> (d - lo), c_hi, c_lo_parent)
     }
 
     fn insert(&self, v: u32) {
         assert!(v < INF, "Mound keys must be < 2^32 - 1");
         let _g = epoch::pin();
+        let ln = self.lnodes.alloc(); // private until published; serves every attempt
+        let cell = self.lnodes.get(ln);
+        cell.value.init(v as u64);
         let mut failed_draws = 0;
         loop {
             let depth = self.active_depth();
@@ -272,7 +282,8 @@ impl Mound {
                 + PROBE_SLOT.with(|s| {
                     pto_sim::rng::lane_draw_below(PROBE_SITE, s, leaves as u64)
                 }) as usize;
-            if self.val(leaf) < v {
+            let c_leaf = kcas::read(self, leaf as u64);
+            if self.word_val(c_leaf) < v {
                 // Re-draw; after a streak of occupied leaves, grow the tree
                 // so fresh (empty, val = ∞) leaves appear.
                 failed_draws += 1;
@@ -282,33 +293,18 @@ impl Mound {
                 }
                 continue;
             }
-            let n = self.find_insert_point(leaf, v, depth);
-            let c_n = kcas::read(self, n as u64);
-            if self.word_val(c_n) < v {
-                continue; // raced; retry from a fresh leaf
-            }
-            // Allocate and fill the new list cell (speculative: reclaimed on
-            // failure since it was never published).
-            let ln = self.lnodes.alloc();
-            self.lnodes.get(ln).value.init(v as u64);
-            self.lnodes.get(ln).next.init(list_of(c_n) as u64);
+            let (n, c_n, c_p) = self.find_insert_point(leaf, c_leaf, v, depth);
+            cell.next.init(list_of(c_n) as u64);
             let new_word = pack(ln, is_dirty(c_n), cnt_of(c_n) + 1);
             let ok = if n == 1 {
                 // Root has no parent: a plain CAS suffices.
                 self.tree[1].compare_exchange(c_n, new_word, Ordering::SeqCst).is_ok()
             } else {
-                let p = n / 2;
-                let c_p = kcas::read(self, p as u64);
-                if self.word_val(c_p) > v {
-                    self.lnodes.free_now(ln);
-                    continue; // parent no longer ≤ v: position invalid
-                }
-                self.dcss_op(p as u64, c_p, n as u64, c_n, new_word) == DcssResult::Success
+                self.dcss_op((n / 2) as u64, c_p, n as u64, c_n, new_word) == DcssResult::Success
             };
             if ok {
                 return;
             }
-            self.lnodes.free_now(ln);
         }
     }
 
@@ -344,8 +340,9 @@ impl Mound {
     /// lists with the smaller child via DCAS and pushing the dirty bit down.
     fn moundify(&self, n: usize) {
         let mut n = n;
+        let mut carried = None; // the word our DCAS wrote into `n`, and its head value
         loop {
-            let c = kcas::read(self, n as u64);
+            let (c, vn) = carried.take().unwrap_or_else(|| (kcas::read(self, n as u64), None));
             if !is_dirty(c) {
                 return;
             }
@@ -373,7 +370,7 @@ impl Mound {
                 self.moundify(right);
                 continue;
             }
-            let vn = self.word_val(c);
+            let vn = vn.unwrap_or_else(|| self.word_val(c));
             let vl = self.word_val(cl);
             let vr = self.word_val(cr);
             let (child, cc, vc) = if vl <= vr { (left, cl, vl) } else { (right, cr, vr) };
@@ -384,6 +381,7 @@ impl Mound {
                 let new_c = pack(list_of(c), true, cnt_of(cc) + 1);
                 if self.dcas_op(n as u64, c, new_n, child as u64, cc, new_c) {
                     n = child; // continue fixing below
+                    carried = Some((new_c, Some(vn)));
                 }
                 // On failure re-read and retry at the same node.
             } else {
@@ -803,6 +801,52 @@ mod tests {
         concurrent_push_pop(&m, 4, 1_500);
         let stats = m.pto_stats().unwrap();
         assert!(stats.fast.get() > 0, "PTO never took the fast path");
+    }
+
+    /// Pool events over a `lanes`-lane run of 50/50 push/pop, and the
+    /// pushes it made. `Pool::alloc` and `free_now` each emit one
+    /// `PoolMagazine` event and `retire` emits none, so the count is
+    /// allocations plus immediate frees.
+    fn pool_events_and_pushes(m: &Mound, lanes: usize) -> (u64, u64) {
+        use pto_sim::obs::{Series, Session};
+        use std::sync::atomic::{AtomicU64, Ordering as AO};
+        let mut rng = XorShift64::new(2_048);
+        for _ in 0..2_048 {
+            m.push(rng.below(4_096));
+        }
+        let pushes = AtomicU64::new(0);
+        let session = Session::new();
+        pto_sim::Sim::new(lanes).run(|lane| {
+            let mut rng = XorShift64::new(lane as u64 + 1);
+            for _ in 0..20_000 {
+                if rng.chance(1, 2) {
+                    m.push(rng.below(4_096));
+                    pushes.fetch_add(1, AO::Relaxed);
+                } else {
+                    m.pop_min();
+                }
+            }
+        });
+        let events = session.snapshot().count(Series::PoolMagazine);
+        (events, pushes.load(AO::Relaxed))
+    }
+
+    #[test]
+    fn one_list_cell_serves_every_attempt_of_a_push() {
+        for lanes in [2, 4] {
+            for (name, m) in [
+                ("lock-free", Mound::new_lockfree(16)),
+                ("PTO", Mound::new_pto(16)),
+            ] {
+                let (events, pushes) = pool_events_and_pushes(&m, lanes);
+                assert_eq!(
+                    events, pushes,
+                    "{name} Mound at {lanes} lanes: {events} pool events for {pushes} pushes \
+                     (a lost CAS must reuse the push's cell, not free it and allocate anew)"
+                );
+                m.check_mound_property().unwrap();
+            }
+        }
     }
 
     #[test]
