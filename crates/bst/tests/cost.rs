@@ -69,17 +69,15 @@ fn pto1_updates_elide_descriptor_allocation() {
     );
 }
 
-/// `TxLoad`s the PTO1 walk spends on an internal node it turns left at:
-/// the `left` word (its leaf test, reused as the link) and the key.
-const READS_TURNING_LEFT: u64 = 2;
-/// ... and on one it turns right at: the same two, plus `right`.
-const READS_TURNING_RIGHT: u64 = 3;
+/// Words a walk reads at each internal node, on either turn: the routing
+/// key and the child word it follows, whose leaf bit says whether the
+/// walk stops at the child.
+const READS_PER_LEVEL: u64 = 2;
 
-/// The walk's `TxLoad`s down a path that turns left at `lefts` internal
-/// nodes and right at `rights`: the grandroot's `left` link, the levels,
-/// and the leaf's `left` (leaf test) and key.
-fn walk_reads(lefts: u64, rights: u64) -> u64 {
-    1 + READS_TURNING_LEFT * lefts + READS_TURNING_RIGHT * rights + 2
+/// The words a walk reads down a path through `levels` internal nodes:
+/// the grandroot's `left` link, the levels, and the leaf's key.
+fn walk_reads(levels: u64) -> u64 {
+    1 + READS_PER_LEVEL * levels + 1
 }
 
 /// Cycles of one committed prefix with `loads` reads and `stores` writes
@@ -107,9 +105,17 @@ fn op_cycles(t: &Bst, op: impl FnOnce(&Bst) -> bool) -> u64 {
     spent
 }
 
-/// A PTO1 tree holding `keys`, inserted in the given order.
-fn tree(keys: impl Iterator<Item = u64>) -> Bst {
-    let t = Bst::new(BstVariant::Pto1);
+/// Virtual cycles a lock-free `contains(k)` charges on this thread,
+/// checking that it finds `k`.
+fn lf_contains_cycles(t: &Bst, k: u64) -> u64 {
+    pto_sim::clock::reset();
+    assert!(t.contains(k), "the lookup missed {k}");
+    pto_sim::now()
+}
+
+/// A tree of `variant` holding `keys`, inserted in the given order.
+fn tree(variant: BstVariant, keys: impl Iterator<Item = u64>) -> Bst {
+    let t = Bst::new(variant);
     for k in keys {
         assert!(t.insert(k));
     }
@@ -117,40 +123,59 @@ fn tree(keys: impl Iterator<Item = u64>) -> Bst {
 }
 
 #[test]
-fn pto1_walk_reads_two_words_per_left_turn_and_three_per_right_turn() {
+fn pto1_walk_reads_two_words_per_internal_node_on_either_turn() {
     let _s = serial();
     // On top of the walk, an insert reads `p`'s update word, allocates its
     // (internal, leaf) pair and initializes the pair's eight words; a
-    // remove reads `gp`'s and `p`'s update words and retires the pruned
-    // parent and leaf.
+    // remove reads `gp`'s and `p`'s update words and the leaf's sibling,
+    // and retires the pruned parent and leaf.
     let pair = 2 * cycles(CostKind::PoolAlloc) + 8 * cycles(CostKind::SharedStore);
     let free2 = 2 * cycles(CostKind::PoolFree);
     for n in [2u64, 9, 24] {
         // Keys n..=1 inserted descending build a left spine: the walk to
         // key 1 turns left at the root and at each of the n internal
-        // nodes below it. Removing 1 needs `p`'s right word, which the
-        // walk did not read.
-        let desc = || tree((1..=n).rev());
-        let walk = walk_reads(n + 1, 0);
-        let insert = prefix_cycles(walk + 1, 2) + pair;
-        let remove = prefix_cycles(walk + 2 + 1, 3) + free2;
-        assert_eq!(
-            op_cycles(&desc(), |t| t.contains(1)),
-            prefix_cycles(walk, 0)
-        );
-        assert_eq!(op_cycles(&desc(), |t| t.insert(0)), insert, "n={n}");
-        assert_eq!(op_cycles(&desc(), |t| t.remove(1)), remove, "n={n}");
+        // nodes below it. Keys 1..=n inserted ascending build a right
+        // spine: the walk to key n turns left at the root and its left
+        // child, then right at n - 1 nodes.
+        for (spine, keys, (hit, miss), levels) in [
+            ("left", (1..=n).rev().collect::<Vec<_>>(), (1, 0), n + 1),
+            ("right", (1..=n).collect(), (n, n + 1), n + 1),
+        ] {
+            let t = || tree(BstVariant::Pto1, keys.iter().copied());
+            let walk = walk_reads(levels);
+            let insert = prefix_cycles(walk + 1, 2) + pair;
+            let remove = prefix_cycles(walk + 3, 3) + free2;
+            assert_eq!(
+                op_cycles(&t(), |t| t.contains(hit)),
+                prefix_cycles(walk, 0),
+                "{spine} spine, n={n}"
+            );
+            assert_eq!(
+                op_cycles(&t(), |t| t.insert(miss)),
+                insert,
+                "{spine} spine, n={n}"
+            );
+            assert_eq!(
+                op_cycles(&t(), |t| t.remove(hit)),
+                remove,
+                "{spine} spine, n={n}"
+            );
+        }
+    }
+}
 
-        // Keys 1..=n inserted ascending build a right spine: the walk to
-        // key n turns left at the root and its left child, then right at
-        // n - 1 nodes. Removing n takes the sibling from `p`'s left word,
-        // already read as its leaf test.
-        let asc = || tree(1..=n);
-        let walk = walk_reads(2, n - 1);
-        let insert = prefix_cycles(walk + 1, 2) + pair;
-        let remove = prefix_cycles(walk + 2, 3) + free2;
-        assert_eq!(op_cycles(&asc(), |t| t.contains(n)), prefix_cycles(walk, 0));
-        assert_eq!(op_cycles(&asc(), |t| t.insert(n + 1)), insert, "n={n}");
-        assert_eq!(op_cycles(&asc(), |t| t.remove(n)), remove, "n={n}");
+#[test]
+fn lockfree_lookup_reads_two_words_per_internal_node_on_either_turn() {
+    let _s = serial();
+    // The lock-free lookup pins the epoch, reads the grandroot's link,
+    // each internal node's key and followed child word, and the leaf's
+    // key, then unpins: the same spines and word counts as the PTO1 walk.
+    let pin = cycles(CostKind::EpochPin) + cycles(CostKind::EpochUnpin);
+    for n in [2u64, 9, 24] {
+        let left = tree(BstVariant::LockFree, (1..=n).rev());
+        let right = tree(BstVariant::LockFree, 1..=n);
+        let want = pin + walk_reads(n + 1) * cycles(CostKind::SharedLoad);
+        assert_eq!(lf_contains_cycles(&left, 1), want, "left spine, n={n}");
+        assert_eq!(lf_contains_cycles(&right, n), want, "right spine, n={n}");
     }
 }
