@@ -148,7 +148,10 @@ fn main() {
         Job { name: "skiplist/lockfree", kind: Kind::Set(|| Box::new(SkipListSet::new_lockfree()), &SET_PREFILL) },
         Job { name: "skiplist/pto", kind: Kind::Set(|| Box::new(SkipListSet::new_pto()), &SET_PREFILL) },
         Job { name: "bst/lockfree", kind: Kind::Set(|| Box::new(Bst::new(BstVariant::LockFree)), &SET_PREFILL) },
+        Job { name: "bst/pto1", kind: Kind::Set(|| Box::new(Bst::new(BstVariant::Pto1)), &SET_PREFILL) },
+        Job { name: "bst/pto2", kind: Kind::Set(|| Box::new(Bst::new(BstVariant::Pto2)), &SET_PREFILL) },
         Job { name: "bst/pto1pto2", kind: Kind::Set(|| Box::new(Bst::new(BstVariant::Pto1Pto2)), &SET_PREFILL) },
+        Job { name: "bst/adaptive-cap2", kind: Kind::Set(|| Box::new(pto_bench::figs::bst_adaptive(2)), &SET_PREFILL) },
         Job { name: "bst/adaptive-middle", kind: Kind::Set(|| Box::new(Bst::with_adaptive(middle_forced(), middle_forced())), &SET_PREFILL) },
         Job { name: "skiplist/adaptive-middle", kind: Kind::Set(|| Box::new(SkipListSet::new_adaptive_with(middle_forced())), &SET_PREFILL) },
         Job { name: "mound/lockfree", kind: Kind::Pq(|| Box::new(Mound::new_lockfree(10)), &PQ_PREFILL) },

@@ -168,7 +168,21 @@ fn skiplist_and_bst_variants_linearize() {
     check_pq("skipqueue/pto", &|| Box::new(SkipQueue::new_pto()));
     check_set("bst/lockfree", &|| Box::new(Bst::new(BstVariant::LockFree)));
     check_set("bst/pto1", &|| Box::new(Bst::new(BstVariant::Pto1)));
+    check_set("bst/pto2", &|| Box::new(Bst::new(BstVariant::Pto2)));
     check_set("bst/pto1pto2", &|| Box::new(Bst::new(BstVariant::Pto1Pto2)));
+    // The adaptive tree at write cap 2: its deletes are capacity-doomed,
+    // so they run the PTO2 preamble and the lock-free delete.
+    check_set("bst/adaptive-cap2", &|| Box::new(bst_adaptive_cap2()));
+}
+
+/// The adaptive PTO1∘PTO2 tree at write cap 2 (the `bst-capacity`
+/// benchmark's tree, `pto_bench::figs::bst_adaptive(2)`).
+fn bst_adaptive_cap2() -> Bst {
+    use pto_core::{AdaptivePolicy, PtoPolicy};
+    Bst::with_adaptive(
+        AdaptivePolicy::new(PtoPolicy::with_attempts(2).with_write_cap(2)),
+        AdaptivePolicy::new(PtoPolicy::with_attempts(16).with_write_cap(2)),
+    )
 }
 
 // -- middle path: adaptive variants forced onto the single-orec path -----
