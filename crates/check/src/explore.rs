@@ -178,7 +178,6 @@ where
             }
             body(lane, i, &mut rng);
         }
-        pto_sim::history::flush();
     });
     session.drain()
 }

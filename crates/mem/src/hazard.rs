@@ -453,19 +453,20 @@ mod tests {
 
     #[test]
     fn lane_reuse_is_observed_by_counters() {
+        // Each lane's lease is released by a thread-exit destructor;
+        // `Sim::run` joins its lanes whole, so all four releases are in
+        // the scope when it returns.
         let d = HazardDomain::new();
-        let before = crate::counters::snapshot();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let d = &d;
-                s.spawn(move || {
-                    d.protect(0, 9);
-                    d.clear(0);
-                });
-            }
+        let scope = crate::MemScope::new();
+        pto_sim::Sim::new(4).run(|_| {
+            d.protect(0, 9);
+            d.clear(0);
         });
-        let delta = crate::counters::snapshot().delta(&before);
-        assert!(delta.lanes_released >= 4, "lease drops not counted");
+        assert_eq!(
+            scope.snapshot().lanes_released,
+            4,
+            "lease drops not counted"
+        );
     }
 
     #[test]

@@ -32,16 +32,15 @@
 //!    path never locks.
 //!
 //! A lost history makes the checker unsound, so collection must not depend
-//! on TLS destructor timing: `std::thread::scope` (which `Sim::run` uses)
-//! returns as soon as each worker's closure finishes, *before* that
-//! thread's TLS destructors run, so a buffer parked only by its destructor
-//! can arrive after [`ScopedHistory::drain`] already emptied the collector.
-//! Recording bodies therefore call [`flush`] as their last statement — a
-//! flush inside the closure happens-before the scope join and hence before
-//! the drain. The destructor still parks as a backup for plain
-//! `spawn`/`join` threads (pthread join waits out TLS destructors), and
-//! [`RawHistory::lost_threads`] counts any buffer that was created but
-//! never collected so a checker can refuse the history rather than
+//! on TLS destructor timing. A thread's TLS destructor parks its buffer,
+//! and `Sim::run` and a plain `spawn`/`join` both wait out their threads'
+//! TLS destructors, so a lane's buffer is collected before they return.
+//! `std::thread::scope`'s implicit join returns as soon as each worker's
+//! closure finishes, *before* that thread's TLS destructors run, so a body
+//! run directly under it calls [`flush`] as its last statement — a flush
+//! inside the closure happens-before the scope join and hence before the
+//! drain. [`RawHistory::lost_threads`] counts any buffer that was created
+//! but never collected so a checker can refuse the history rather than
 //! silently verify a subset.
 
 use crate::sync::Mutex;
@@ -95,7 +94,7 @@ struct LocalHist {
 }
 
 /// TLS wrapper whose destructor parks the thread's history when the thread
-/// exits mid-recording (scoped sim threads exit before the drain).
+/// exits mid-recording (`Sim::run` lanes exit before the drain).
 struct LocalSlot {
     slot: RefCell<Option<LocalHist>>,
 }
@@ -124,12 +123,13 @@ fn park(lh: LocalHist) {
 
 /// Park the current thread's buffer into its scope's collector.
 ///
-/// Recording bodies that run under `std::thread::scope` (including every
-/// `Sim::run` lane body) must call this as their **last statement**: scope
-/// join does not wait for TLS destructors, so only an explicit flush is
-/// guaranteed to land before the harness drains. Safe to call when nothing
-/// was recorded or no scope is installed (a no-op); recording again after a
-/// flush starts a fresh [`ThreadHistory`] with a new ordinal.
+/// Recording bodies that run directly under `std::thread::scope` must call
+/// this as their **last statement**: its implicit join does not wait for
+/// TLS destructors, so only an explicit flush is guaranteed to land before
+/// the harness drains. `Sim::run` lanes need not: it joins each lane whole.
+/// Safe to call when nothing was recorded or no scope is installed (a
+/// no-op); recording again after a flush starts a fresh [`ThreadHistory`]
+/// with a new ordinal.
 pub fn flush() {
     let _ = LOCAL.try_with(|local| {
         if let Some(lh) = local.slot.borrow_mut().take() {
@@ -360,6 +360,17 @@ mod tests {
         assert_eq!(raw.lost_threads, 0);
         assert_eq!(raw.ops(), 1);
         assert_eq!(raw.threads[0].ops[0].arg, 9);
+    }
+
+    #[test]
+    fn sim_lane_history_is_parked_without_flush() {
+        // `Sim::run` joins each lane whole, so the TLS destructor's parking
+        // lands before it returns.
+        let scoped = ScopedHistory::arm();
+        crate::Sim::new(4).run(|lane| record(7, lane as u64, 0, 0, 1));
+        let raw = scoped.drain();
+        assert_eq!(raw.lost_threads, 0);
+        assert_eq!(raw.ops(), 4);
     }
 
     #[test]

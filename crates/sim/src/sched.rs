@@ -339,6 +339,10 @@ impl Sim {
     /// workload, calling into data-structure operations whose shared-memory
     /// accesses charge the lane's virtual clock.
     ///
+    /// Returns only after every lane thread has exited, thread-exit
+    /// destructors included. If a lane panics, the other lanes still run to
+    /// completion and the first panicking lane's payload is resumed here.
+    ///
     /// ```
     /// use pto_sim::{CostKind, Sim};
     ///
@@ -369,20 +373,20 @@ impl Sim {
         // (scoped stats, injection schedules, RNG stream key) so cell
         // runners can isolate whole simulations per OS thread.
         let inherited = crate::ctx::capture();
-        std::thread::scope(|s| {
+        let panic = std::thread::scope(|s| {
+            let mut lanes = Vec::with_capacity(self.threads);
             for lane in 0..self.threads {
                 let gate = Arc::clone(&gate);
                 let body = &body;
                 let inherited = &inherited;
-                s.spawn(move || {
+                lanes.push(s.spawn(move || {
                     crate::ctx::adopt(inherited);
                     crate::clock::attach(gate, lane);
                     // Detach via RAII: a lane that panics while attached
                     // would otherwise never call `Gate::finish`, freezing
                     // its clock as the permanent minimum and parking every
                     // other lane forever. Unwinding through the guard
-                    // releases the gate so the scope can join the
-                    // remaining lanes and propagate the panic.
+                    // releases the gate so the remaining lanes finish.
                     struct DetachOnExit;
                     impl Drop for DetachOnExit {
                         fn drop(&mut self) {
@@ -391,9 +395,24 @@ impl Sim {
                     }
                     let _detach = DetachOnExit;
                     body(lane);
-                });
+                }));
             }
+            // Join every lane explicitly: the scope's implicit join returns
+            // when each closure ends, before the thread's exit destructors
+            // (hazard-lease release, orphan parking) have run, so events
+            // they record could land after the caller read its scopes.
+            // `join` also hands back a lane's own panic payload.
+            let mut first = None;
+            for lane in lanes {
+                if let Err(payload) = lane.join() {
+                    first.get_or_insert(payload);
+                }
+            }
+            first
         });
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
         let per_thread: Vec<u64> = gate
             .finals
             .iter()
@@ -682,6 +701,28 @@ mod tests {
         assert_eq!(numa.makespan, remote);
         assert_eq!(numa.per_thread[0], local, "socket 0 stays Haswell");
         assert_eq!(numa.per_thread[8], remote, "socket 1 pays the hop");
+    }
+
+    #[test]
+    fn a_panicking_lane_releases_the_gate_and_propagates() {
+        let finished = AtomicUsize::new(0);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Sim::new(4).run(|lane| {
+                clock::charge_n(CostKind::Cas, 50);
+                if lane == 1 {
+                    panic!("lane 1 boom");
+                }
+                clock::charge_n(CostKind::Cas, 500);
+                finished.fetch_add(1, Ordering::Relaxed);
+            })
+        }));
+        let payload = r.expect_err("the lane's panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"lane 1 boom"));
+        assert_eq!(
+            finished.load(Ordering::Relaxed),
+            3,
+            "the other lanes ran on"
+        );
     }
 
     #[test]
