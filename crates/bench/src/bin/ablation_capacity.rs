@@ -3,6 +3,4 @@ fn main() {
     let t = pto_bench::figs::ablation_capacity();
     println!("{}", t.render());
     t.write_csv("ablation_capacity").expect("write results/ablation_capacity.csv");
-    let h = pto_htm::snapshot();
-    println!("HTM: {} begins, {} commits ({:.1}% commit rate)", h.begins, h.commits, 100.0 * h.commit_rate());
 }

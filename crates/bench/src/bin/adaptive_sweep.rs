@@ -112,11 +112,4 @@ fn main() {
     let profile = session.drain();
     println!("PER-SITE ATTRIBUTION — adaptive load-query run:");
     println!("{}", profile.top_table(12));
-    let h = pto_htm::snapshot();
-    println!(
-        "HTM: {} begins, {} commits ({:.1}% commit rate)",
-        h.begins,
-        h.commits,
-        100.0 * h.commit_rate()
-    );
 }

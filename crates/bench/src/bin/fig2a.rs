@@ -25,8 +25,6 @@ fn main() {
     print!("{}", t.render_latency());
     t.write_csv("fig2a").expect("write results/fig2a.csv");
     t.write_latency_csv("fig2a").expect("write results/lat_fig2a.csv");
-    let h = pto_htm::snapshot();
-    println!("HTM: {} begins, {} commits ({:.1}% commit rate)", h.begins, h.commits, 100.0 * h.commit_rate());
 
     if let (Some(session), Some(path)) = (session, trace_path) {
         let trace = session.drain();

@@ -5,6 +5,4 @@ fn main() {
         let name = format!("fig4{}", ['a','b','c'][i]);
         t.write_csv(&name).expect("write csv");
     }
-    let h = pto_htm::snapshot();
-    println!("HTM: {} begins, {} commits ({:.1}% commit rate)", h.begins, h.commits, 100.0 * h.commit_rate());
 }

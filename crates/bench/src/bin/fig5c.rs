@@ -3,6 +3,4 @@ fn main() {
     let t = pto_bench::figs::fig5c();
     println!("{}", t.render());
     t.write_csv("fig5c").expect("write results/fig5c.csv");
-    let h = pto_htm::snapshot();
-    println!("HTM: {} begins, {} commits ({:.1}% commit rate)", h.begins, h.commits, 100.0 * h.commit_rate());
 }

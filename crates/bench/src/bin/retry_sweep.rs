@@ -7,11 +7,4 @@ fn main() {
     // the attempt budget grows.
     println!("{}", t.render_causes_by_axis());
     t.write_csv("retry_sweep").expect("write results/retry_sweep.csv");
-    let h = pto_htm::snapshot();
-    println!(
-        "HTM: {} begins, {} commits ({:.1}% commit rate)",
-        h.begins,
-        h.commits,
-        100.0 * h.commit_rate()
-    );
 }

@@ -8,14 +8,14 @@
 //! reclamation counters, latency histograms, a fold-only observation
 //! session) plus a deterministic RNG stream key derived from the cell's
 //! stable identity, runs the cell body, and returns the body's value
-//! together with the cell's own counter snapshots. The HTM and
-//! reclamation scopes also flush into their process globals on drop, so
-//! whole-run HTM summaries still add up.
+//! together with the cell's own counter snapshots. No process-wide tally
+//! stands behind the HTM and reclamation scopes: a whole-run total is the
+//! sum of its cells' snapshots.
 //!
 //! Determinism: the stream key depends only on the cell's identity (not
 //! on which worker thread or in what order it runs), so a sharded sweep
 //! produces byte-identical per-cell results to `PTO_PAR=1` sequential
-//! runs — asserted by `perf_smoke --check` and the tests below.
+//! runs — asserted by the tests below.
 
 use crate::lat::{LatScope, LatSnapshot};
 use pto_htm::{HtmScope, HtmSnapshot};

@@ -13,8 +13,8 @@ pub struct Row {
 }
 
 /// The HTM/reclamation events attributed to one (axis point, series) cell
-/// of a figure: scoped deltas of the process-global counters taken around
-/// that cell's trials (series run sequentially, so the delta is exact).
+/// of a figure: the snapshots of the `HtmScope` and `MemScope` the cell's
+/// trials ran under.
 #[derive(Clone, Debug)]
 pub struct CauseCell {
     pub axis: usize,
@@ -76,7 +76,7 @@ impl Table {
         self.rows.push(Row { threads, values });
     }
 
-    /// Attach one cell's scoped counter deltas.
+    /// Attach one cell's scoped counter snapshots.
     pub fn push_cause(
         &mut self,
         axis: usize,

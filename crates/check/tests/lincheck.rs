@@ -8,8 +8,9 @@
 //! deliberately broken variant proves the pipeline catches ordering bugs
 //! and shrinks them to readable witnesses.
 //!
-//! Sessions arm process-global machinery (history recording, abort
-//! injection), so everything runs under one serializing lock.
+//! History recording and abort injection are scoped per exploration, but
+//! each exploration spawns multi-lane sims and they share the process-wide
+//! orec table, so everything runs under one serializing lock.
 
 use pto_bst::{Bst, BstVariant};
 use pto_check::broken::BrokenFifo;

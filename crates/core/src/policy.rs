@@ -139,9 +139,10 @@ impl Default for PtoPolicy {
 
 /// Per-structure (or per-callsite) PTO outcome counters.
 ///
-/// Unlike the process-global [`pto_htm::snapshot`] counters, a `PtoStats`
-/// is owned by one PTO variant instance, so two variants running in the
-/// same process report independent abort-cause mixes.
+/// Unlike an [`pto_htm::HtmScope`], which counts every transaction on the
+/// threads that inherit it, a `PtoStats` is owned by one PTO variant
+/// instance, so two variants running in the same scope report independent
+/// abort-cause mixes.
 #[derive(Default, Debug)]
 pub struct PtoStats {
     /// Operations completed by a committed prefix transaction.
@@ -949,8 +950,8 @@ mod tests {
     #[test]
     fn two_stats_in_one_process_stay_independent() {
         // The heart of the per-variant observability claim: two variants'
-        // cause mixes must not bleed into each other even though the HTM's
-        // process-global counters see both.
+        // cause mixes must not bleed into each other even though one
+        // `HtmScope` on this thread would see both.
         let spurious_stats = PtoStats::new();
         let capacity_stats = PtoStats::new();
         let spurious_policy = PtoPolicy::with_attempts(1).with_chaos(100);

@@ -73,35 +73,8 @@ fn chaos_strikes(pct: u8) -> bool {
 // `pto-check` explorer needs *targeted* ones: "abort the k-th, k+p-th, ...
 // would-commit attempt in this run" steers executions into the fallback and
 // mixed prefix/fallback interleavings that random chaos only rarely hits.
-// The hook is process-global (armed around one `Sim::run`) and counts
-// attempts whose body completed — the same point `chaos_abort_pct` strikes.
-
-/// Injection period; 0 = disarmed (the hot path is one relaxed load).
-static INJECT_PERIOD: AtomicU64 = AtomicU64::new(0);
-static INJECT_PHASE: AtomicU64 = AtomicU64::new(0);
-static INJECT_ATTEMPTS: AtomicU64 = AtomicU64::new(0);
-
-/// Arm deterministic abort injection: while armed, the attempt counter is
-/// incremented by every transaction whose body completes on a **simulator
-/// lane** (threads not attached to a gate are never struck, so arming
-/// cannot perturb unrelated work), and attempts where
-/// `counter % period == phase` abort with [`AbortCause::Spurious`] instead
-/// of committing.
-///
-/// Panics if `period` is zero. Arm before `Sim::run`, disarm after; the
-/// counter resets on each arm.
-pub fn arm_abort_injection(period: u64, phase: u64) {
-    assert!(period > 0, "abort-injection period must be positive");
-    INJECT_PHASE.store(phase % period, Ordering::SeqCst);
-    INJECT_ATTEMPTS.store(0, Ordering::SeqCst);
-    INJECT_PERIOD.store(period, Ordering::SeqCst);
-}
-
-/// Disarm abort injection (idempotent). Transactions in flight observe the
-/// disarm at their next commit point.
-pub fn disarm_abort_injection() {
-    INJECT_PERIOD.store(0, Ordering::SeqCst);
-}
+// The schedule is scoped to one cell and counts attempts whose body
+// completed — the same point `chaos_abort_pct` strikes.
 
 /// A scoped injection schedule (context slot [`ctx::SLOT_HTM_INJECT`]).
 struct InjectState {
@@ -112,12 +85,13 @@ struct InjectState {
 
 /// RAII deterministic abort injection scoped to one cell.
 ///
-/// The scheduling contract matches [`arm_abort_injection`] — would-commit
-/// attempt `k` on a simulator lane aborts iff `k % period == phase` — but
-/// the schedule and its attempt counter live in the installing thread's
+/// Would-commit attempt `k` on a **simulator lane** aborts with
+/// [`AbortCause::Spurious`] iff `k % period == phase`; threads not
+/// attached to a gate are never struck and do not advance `k`. The
+/// schedule and its attempt counter live in the installing thread's
 /// context (inherited by its `Sim` lanes and `par` jobs), so concurrent
-/// exploration cells each count their *own* attempts. A scoped schedule
-/// takes precedence over the process-global one.
+/// exploration cells each count their *own* attempts. Scopes nest: an
+/// inner schedule replaces the outer one until it drops.
 pub struct InjectionScope {
     _guard: ctx::ScopeGuard,
 }
@@ -141,31 +115,16 @@ pub fn injection_scope(period: u64, phase: u64) -> InjectionScope {
 
 #[inline]
 fn injection_strikes() -> bool {
-    // Hot path: one relaxed load and one thread-local flag check.
-    if INJECT_PERIOD.load(Ordering::Relaxed) == 0 && !ctx::is_set(ctx::SLOT_HTM_INJECT) {
-        return false;
-    }
-    injection_strikes_armed()
+    // Hot path: one thread-local flag check.
+    ctx::is_set(ctx::SLOT_HTM_INJECT) && injection_strikes_armed()
 }
 
 #[cold]
 fn injection_strikes_armed() -> bool {
-    if pto_sim::clock::current_lane().is_none() {
-        return false;
-    }
-    // A scoped schedule wins over the process-global hook.
-    let scoped = ctx::with::<InjectState, _>(ctx::SLOT_HTM_INJECT, |st| {
-        st.map(|st| st.attempts.fetch_add(1, Ordering::Relaxed) % st.period == st.phase)
-    });
-    if let Some(hit) = scoped {
-        return hit;
-    }
-    let period = INJECT_PERIOD.load(Ordering::Relaxed);
-    if period == 0 {
-        return false;
-    }
-    let phase = INJECT_PHASE.load(Ordering::Relaxed);
-    INJECT_ATTEMPTS.fetch_add(1, Ordering::Relaxed) % period == phase
+    pto_sim::clock::current_lane().is_some()
+        && ctx::with::<InjectState, _>(ctx::SLOT_HTM_INJECT, |st| {
+            st.is_some_and(|st| st.attempts.fetch_add(1, Ordering::Relaxed) % st.period == st.phase)
+        })
 }
 
 struct NestGuard;
@@ -347,13 +306,13 @@ mod tests {
     #[test]
     fn stats_track_commits_and_aborts() {
         let w = TxWord::new(0);
-        let before = crate::snapshot();
+        let scope = crate::HtmScope::new();
         let _ = transaction(|tx| tx.read(&w));
         let _: Result<(), _> = transaction(|tx| Err(tx.abort(9)));
-        let after = crate::snapshot();
-        assert_eq!(after.commits - before.commits, 1);
-        assert_eq!(after.aborts_explicit - before.aborts_explicit, 1);
-        assert!(after.begins - before.begins >= 2);
+        let s = scope.snapshot();
+        assert_eq!(s.begins, 2);
+        assert_eq!(s.commits, 1);
+        assert_eq!(s.aborts_explicit, 1);
     }
 
     #[test]
@@ -418,45 +377,17 @@ mod tests {
         .unwrap();
     }
 
-    // Abort injection is process-global; tests that arm it must not overlap.
-    fn inject_serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    #[test]
-    fn injection_strikes_every_period_th_commit_on_a_lane() {
-        let _g = inject_serial();
-        arm_abort_injection(3, 1);
-        let w = TxWord::new(0);
-        let outcomes = std::sync::Mutex::new(Vec::new());
-        pto_sim::Sim::new(1).run(|_| {
-            for _ in 0..9 {
-                let ok = transaction(|tx| tx.read(&w)).is_ok();
-                outcomes.lock().unwrap().push(ok);
-            }
-        });
-        disarm_abort_injection();
-        // Attempts 1, 4, 7 (0-based) hit phase 1 of period 3.
-        let expected = [true, false, true, true, false, true, true, false, true];
-        assert_eq!(outcomes.into_inner().unwrap(), expected);
-    }
-
     #[test]
     fn injection_ignores_threads_off_the_gate() {
-        let _g = inject_serial();
-        arm_abort_injection(1, 0); // would abort every lane attempt
+        let _scope = injection_scope(1, 0); // would abort every lane attempt
         let w = TxWord::new(0);
         for _ in 0..8 {
             assert!(transaction(|tx| tx.read(&w)).is_ok());
         }
-        disarm_abort_injection();
     }
 
     #[test]
-    fn disarmed_injection_never_strikes() {
-        let _g = inject_serial();
-        disarm_abort_injection();
+    fn no_injection_scope_never_strikes() {
         let w = TxWord::new(0);
         pto_sim::Sim::new(1).run(|_| {
             for _ in 0..8 {
@@ -468,13 +399,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "period must be positive")]
     fn zero_period_injection_panics() {
-        arm_abort_injection(0, 0);
+        let _scope = injection_scope(0, 0);
     }
 
     #[test]
     fn scoped_injection_strikes_on_schedule() {
-        // No global arming: the scope alone drives the schedule, and its
-        // counter is private, so this test needs no serialization lock.
         let _scope = injection_scope(3, 1);
         let w = TxWord::new(0);
         let outcomes = std::sync::Mutex::new(Vec::new());
@@ -489,24 +418,22 @@ mod tests {
     }
 
     #[test]
-    fn scoped_injection_wins_over_global_and_unwinds() {
-        let _g = inject_serial();
-        arm_abort_injection(1, 0); // global: abort every lane attempt
+    fn inner_injection_scope_wins_and_unwinds() {
+        let _outer = injection_scope(1, 0); // abort every lane attempt
         let w = TxWord::new(0);
         {
-            // Scope with a period no attempt reaches: nothing aborts.
-            let _scope = injection_scope(1_000_000, 999);
+            // Inner scope with a period no attempt reaches: nothing aborts.
+            let _inner = injection_scope(1_000_000, 999);
             pto_sim::Sim::new(1).run(|_| {
                 for _ in 0..4 {
                     assert!(transaction(|tx| tx.read(&w)).is_ok());
                 }
             });
         }
-        // Scope gone: the global schedule applies again.
+        // Inner scope gone: the outer schedule applies again.
         pto_sim::Sim::new(1).run(|_| {
             assert!(transaction(|tx| tx.read(&w)).is_err());
         });
-        disarm_abort_injection();
     }
 
     #[test]

@@ -36,11 +36,10 @@ mod word;
 pub mod hw;
 
 pub use exec::{
-    arm_abort_injection, disarm_abort_injection, injection_scope, transaction, transaction_owned,
-    transaction_with, InjectionScope, TxOpts,
+    injection_scope, transaction, transaction_owned, transaction_with, InjectionScope, TxOpts,
 };
 pub use orec::{locked_orecs, try_acquire_orec, OrecGuard};
-pub use stats::{reset as reset_stats, snapshot, CauseCounters, HtmScope, HtmSnapshot};
+pub use stats::{CauseCounters, HtmScope, HtmSnapshot};
 pub use txn::{last_conflict_orec, Abort, AbortCause, FenceMode, TxResult, Txn};
 pub use word::TxWord;
 

@@ -1,17 +1,13 @@
 //! HTM event statistics (begins, commits, aborts by cause).
 //!
-//! Three layers:
+//! Two layers:
 //!
-//! * the **process-global** counters behind [`snapshot`]/[`reset`] record
-//!   every transaction attempt in the process; scoped measurements take a
-//!   snapshot before and after a region and diff them with
-//!   [`HtmSnapshot::delta`];
 //! * [`HtmScope`] is a **cell-scoped** counter block (context slot
 //!   [`ctx::SLOT_HTM_STATS`]): while installed, every attempt on the
 //!   installing thread — and on `Sim` lanes / `par` workers it spawns —
-//!   records into the scope instead of the globals, so concurrent sweep
-//!   cells measure independently. The scope's totals flush into the
-//!   globals when it drops, so whole-run summaries still add up;
+//!   records into the scope, so concurrent sweep cells measure
+//!   independently. It is the only such counter: an attempt made with no
+//!   scope installed is not counted anywhere;
 //! * [`CauseCounters`] is an embeddable per-*variant* cause block — each
 //!   PTO'd structure (and the TLE baseline) owns one, so several variants
 //!   running in one process report independent abort-cause mixes. This is
@@ -98,8 +94,7 @@ impl CauseCounters {
     }
 }
 
-/// One full counter block; the process globals and every [`HtmScope`]
-/// each own one.
+/// One full counter block; every [`HtmScope`] owns one.
 #[derive(Default)]
 struct Block {
     begins: Counter,
@@ -114,20 +109,6 @@ struct Block {
 }
 
 impl Block {
-    const fn new() -> Self {
-        Block {
-            begins: Counter::new(),
-            commits: Counter::new(),
-            conflict: Counter::new(),
-            capacity: Counter::new(),
-            explicit: Counter::new(),
-            nested: Counter::new(),
-            spurious: Counter::new(),
-            remote_commits: Counter::new(),
-            remote_aborts: Counter::new(),
-        }
-    }
-
     fn read(&self) -> HtmSnapshot {
         HtmSnapshot {
             begins: self.begins.get(),
@@ -141,76 +122,39 @@ impl Block {
             remote_aborts: self.remote_aborts.get(),
         }
     }
-
-    fn add(&self, s: &HtmSnapshot) {
-        self.begins.add(s.begins);
-        self.commits.add(s.commits);
-        self.conflict.add(s.aborts_conflict);
-        self.capacity.add(s.aborts_capacity);
-        self.explicit.add(s.aborts_explicit);
-        self.nested.add(s.aborts_nested);
-        self.spurious.add(s.aborts_spurious);
-        self.remote_commits.add(s.remote_commits);
-        self.remote_aborts.add(s.remote_aborts);
-    }
-
-    fn zero(&self) {
-        self.begins.reset();
-        self.commits.reset();
-        self.conflict.reset();
-        self.capacity.reset();
-        self.explicit.reset();
-        self.nested.reset();
-        self.spurious.reset();
-        self.remote_commits.reset();
-        self.remote_aborts.reset();
-    }
 }
 
-static GLOBAL: Block = Block::new();
-
 /// Run `f` against the scoped block if one is installed on this thread
-/// (directly or inherited from a spawning cell); `false` means "record
-/// globally".
+/// (directly or inherited from a spawning cell); otherwise do nothing.
 #[inline]
-fn scoped(f: impl FnOnce(&Block)) -> bool {
-    if !ctx::is_set(ctx::SLOT_HTM_STATS) {
-        return false;
+fn record(f: impl FnOnce(&Block)) {
+    if ctx::is_set(ctx::SLOT_HTM_STATS) {
+        ctx::with::<Block, _>(ctx::SLOT_HTM_STATS, |b| {
+            if let Some(b) = b {
+                f(b);
+            }
+        });
     }
-    ctx::with::<Block, _>(ctx::SLOT_HTM_STATS, |b| match b {
-        Some(b) => {
-            f(b);
-            true
-        }
-        None => false,
-    })
 }
 
 #[inline]
 pub(crate) fn record_begin() {
-    if !scoped(|b| b.begins.inc()) {
-        GLOBAL.begins.inc();
-    }
+    record(|b| b.begins.inc());
 }
 
 #[inline]
 pub(crate) fn record_commit() {
-    let remote = pto_sim::clock::on_remote_socket();
-    let bump = |b: &Block| {
+    record(|b| {
         b.commits.inc();
-        if remote {
+        if pto_sim::clock::on_remote_socket() {
             b.remote_commits.inc();
         }
-    };
-    if !scoped(bump) {
-        bump(&GLOBAL);
-    }
+    });
 }
 
 #[inline]
 pub(crate) fn record_abort(cause: AbortCause) {
-    let remote = pto_sim::clock::on_remote_socket();
-    let bump = |b: &Block| {
+    record(|b| {
         match cause {
             AbortCause::Conflict => b.conflict.inc(),
             AbortCause::Capacity => b.capacity.inc(),
@@ -218,23 +162,19 @@ pub(crate) fn record_abort(cause: AbortCause) {
             AbortCause::Nested => b.nested.inc(),
             AbortCause::Spurious => b.spurious.inc(),
         }
-        if remote {
+        if pto_sim::clock::on_remote_socket() {
             b.remote_aborts.inc();
         }
-    };
-    if !scoped(bump) {
-        bump(&GLOBAL);
-    }
+    });
 }
 
 /// RAII scope isolating HTM statistics for one sweep cell.
 ///
 /// While alive (on the installing thread and every `Sim` lane or
 /// [`pto_sim::par`] job that inherits its context), transaction events
-/// record into this scope instead of the process globals. Read the cell's
-/// own totals with [`HtmScope::snapshot`]; on drop the totals are flushed
-/// into the globals, so `snapshot()`-based whole-run summaries (e.g. the
-/// retry sweep's) still see every event exactly once.
+/// record into this scope. Read the cell's own totals with
+/// [`HtmScope::snapshot`]. Scopes nest: an inner scope takes the events
+/// until it drops, and the outer one does not see them.
 pub struct HtmScope {
     block: Arc<Block>,
     _guard: ctx::ScopeGuard,
@@ -258,12 +198,6 @@ impl HtmScope {
     /// This scope's totals so far.
     pub fn snapshot(&self) -> HtmSnapshot {
         self.block.read()
-    }
-}
-
-impl Drop for HtmScope {
-    fn drop(&mut self) {
-        GLOBAL.add(&self.block.read());
     }
 }
 
@@ -301,25 +235,7 @@ impl HtmSnapshot {
         }
     }
 
-    /// The events recorded since `before` was taken: field-wise saturating
-    /// subtraction, so a scoped measurement (`let b = snapshot(); ...;
-    /// snapshot().delta(&b)`) attributes the global counters to that region
-    /// even if some other code called [`reset`] in between.
-    pub fn delta(&self, before: &HtmSnapshot) -> HtmSnapshot {
-        HtmSnapshot {
-            begins: self.begins.saturating_sub(before.begins),
-            commits: self.commits.saturating_sub(before.commits),
-            aborts_conflict: self.aborts_conflict.saturating_sub(before.aborts_conflict),
-            aborts_capacity: self.aborts_capacity.saturating_sub(before.aborts_capacity),
-            aborts_explicit: self.aborts_explicit.saturating_sub(before.aborts_explicit),
-            aborts_nested: self.aborts_nested.saturating_sub(before.aborts_nested),
-            aborts_spurious: self.aborts_spurious.saturating_sub(before.aborts_spurious),
-            remote_commits: self.remote_commits.saturating_sub(before.remote_commits),
-            remote_aborts: self.remote_aborts.saturating_sub(before.remote_aborts),
-        }
-    }
-
-    /// Field-wise sum (for aggregating several scoped deltas).
+    /// Field-wise sum (for aggregating several scopes' snapshots).
     pub fn merge(&self, other: &HtmSnapshot) -> HtmSnapshot {
         HtmSnapshot {
             begins: self.begins + other.begins,
@@ -333,20 +249,6 @@ impl HtmSnapshot {
             remote_aborts: self.remote_aborts + other.remote_aborts,
         }
     }
-}
-
-/// Read the current **process-global** counters. Events recorded inside a
-/// live [`HtmScope`] are not visible here until that scope drops (and
-/// flushes).
-pub fn snapshot() -> HtmSnapshot {
-    GLOBAL.read()
-}
-
-/// Zero the global counters (benchmark harness use; racy with concurrent
-/// transactions by design — call between runs). Live scopes are
-/// unaffected.
-pub fn reset() {
-    GLOBAL.zero();
 }
 
 #[cfg(test)]
@@ -374,30 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_subtracts_and_saturates() {
-        let before = HtmSnapshot {
-            begins: 10,
-            commits: 8,
-            aborts_conflict: 2,
-            ..Default::default()
-        };
-        let after = HtmSnapshot {
-            begins: 15,
-            commits: 11,
-            aborts_conflict: 4,
-            ..Default::default()
-        };
-        let d = after.delta(&before);
-        assert_eq!(d.begins, 5);
-        assert_eq!(d.commits, 3);
-        assert_eq!(d.aborts_conflict, 2);
-        // A reset between snapshots must not underflow.
-        let z = HtmSnapshot::default().delta(&before);
-        assert_eq!(z.begins, 0);
-        assert_eq!(z.total_aborts(), 0);
-    }
-
-    #[test]
     fn merge_sums_fields() {
         let a = HtmSnapshot {
             begins: 3,
@@ -415,28 +293,23 @@ mod tests {
     }
 
     #[test]
-    fn scope_isolates_and_flushes_on_drop() {
-        let outside_before = snapshot();
-        let scoped_total;
+    fn scope_counts_only_while_installed() {
+        let w = crate::TxWord::new(0);
+        // Before the scope: not counted in it.
+        let _ = crate::transaction(|tx| tx.read(&w));
+        let scope = HtmScope::new();
+        let _ = crate::transaction(|tx| tx.read(&w));
+        let _: Result<(), _> = crate::transaction(|tx| Err(tx.abort(1)));
         {
-            let scope = HtmScope::new();
-            let w = crate::TxWord::new(0);
+            // An inner scope takes the events while it lives.
+            let inner = HtmScope::new();
             let _ = crate::transaction(|tx| tx.read(&w));
-            let _: Result<(), _> = crate::transaction(|tx| Err(tx.abort(1)));
-            let s = scope.snapshot();
-            assert_eq!(s.commits, 1);
-            assert_eq!(s.aborts_explicit, 1);
-            assert!(s.begins >= 2);
-            scoped_total = s;
-            // Isolation from the globals while the scope lives is asserted
-            // by `concurrent_scopes_do_not_bleed` (other tests in this
-            // binary mutate the globals concurrently, so a global delta
-            // here would be flaky in either direction).
+            assert_eq!(inner.snapshot().commits, 1);
         }
-        // After the drop the scope's totals are in the globals.
-        let after = snapshot().delta(&outside_before);
-        assert!(after.commits >= scoped_total.commits);
-        assert!(after.aborts_explicit >= scoped_total.aborts_explicit);
+        let s = scope.snapshot();
+        assert_eq!(s.begins, 2);
+        assert_eq!(s.commits, 1);
+        assert_eq!(s.aborts_explicit, 1);
     }
 
     #[test]

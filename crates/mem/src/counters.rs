@@ -1,21 +1,19 @@
-//! Process-global reclamation counters: epoch advances, hazard scans,
-//! slots reclaimed, orphans parked/drained.
+//! Reclamation counters: epoch advances, hazard scans, slots reclaimed,
+//! orphans parked/drained.
 //!
-//! The PTO benches attribute these to a variant the same way they attribute
-//! HTM events: take a [`snapshot`] before a scoped region, another after,
-//! and diff them with [`MemSnapshot::delta`] — or, when sweep cells run
-//! concurrently on a worker pool, install a [`MemScope`] per cell (context
-//! slot [`ctx::SLOT_MEM`]) so each cell's events record into its own block
-//! and flush into the globals on drop. The counters are deliberately
-//! cheap (relaxed, cache-padded) and are *not* part of the cost model —
-//! they observe the reclamation machinery, they do not charge for it.
+//! The PTO benches attribute these to a cell the same way they attribute
+//! HTM events: install a [`MemScope`] (context slot [`ctx::SLOT_MEM`]) and
+//! every event on the installing thread, its `Sim` lanes and its `par`
+//! workers records into the scope's own block. An event with no scope
+//! installed is not counted. The counters are deliberately cheap
+//! (relaxed, cache-padded) and are *not* part of the cost model — they
+//! observe the reclamation machinery, they do not charge for it.
 
 use pto_sim::ctx;
 use pto_sim::stats::Counter;
 use std::sync::Arc;
 
-/// One full counter block; the process globals and every [`MemScope`]
-/// each own one.
+/// One full counter block; every [`MemScope`] owns one.
 #[derive(Default)]
 struct Block {
     epoch_advances: Counter,
@@ -28,18 +26,6 @@ struct Block {
 }
 
 impl Block {
-    const fn new() -> Self {
-        Block {
-            epoch_advances: Counter::new(),
-            hazard_scans: Counter::new(),
-            hazard_reclaimed: Counter::new(),
-            orphans_parked: Counter::new(),
-            orphans_drained: Counter::new(),
-            lanes_released: Counter::new(),
-            limbo_reclaimed: Counter::new(),
-        }
-    }
-
     fn read(&self) -> MemSnapshot {
         MemSnapshot {
             epoch_advances: self.epoch_advances.get(),
@@ -51,51 +37,18 @@ impl Block {
             limbo_reclaimed: self.limbo_reclaimed.get(),
         }
     }
-
-    fn add(&self, s: &MemSnapshot) {
-        self.epoch_advances.add(s.epoch_advances);
-        self.hazard_scans.add(s.hazard_scans);
-        self.hazard_reclaimed.add(s.hazard_reclaimed);
-        self.orphans_parked.add(s.orphans_parked);
-        self.orphans_drained.add(s.orphans_drained);
-        self.lanes_released.add(s.lanes_released);
-        self.limbo_reclaimed.add(s.limbo_reclaimed);
-    }
-
-    fn zero(&self) {
-        self.epoch_advances.reset();
-        self.hazard_scans.reset();
-        self.hazard_reclaimed.reset();
-        self.orphans_parked.reset();
-        self.orphans_drained.reset();
-        self.lanes_released.reset();
-        self.limbo_reclaimed.reset();
-    }
 }
-
-static GLOBAL: Block = Block::new();
 
 /// Run `f` against the scoped block if one is installed on this thread
-/// (directly or inherited from a spawning cell); `false` means "record
-/// globally".
+/// (directly or inherited from a spawning cell); otherwise do nothing.
 #[inline]
-fn scoped(f: impl FnOnce(&Block)) -> bool {
-    if !ctx::is_set(ctx::SLOT_MEM) {
-        return false;
-    }
-    ctx::with::<Block, _>(ctx::SLOT_MEM, |b| match b {
-        Some(b) => {
-            f(b);
-            true
-        }
-        None => false,
-    })
-}
-
-#[inline]
-fn record(f: impl Fn(&Block)) {
-    if !scoped(&f) {
-        f(&GLOBAL);
+fn record(f: impl FnOnce(&Block)) {
+    if ctx::is_set(ctx::SLOT_MEM) {
+        ctx::with::<Block, _>(ctx::SLOT_MEM, |b| {
+            if let Some(b) = b {
+                f(b);
+            }
+        });
     }
 }
 
@@ -138,9 +91,9 @@ pub(crate) fn record_limbo_reclaimed(n: u64) {
 ///
 /// While alive (on the installing thread and every `Sim` lane or
 /// [`pto_sim::par`] job that inherits its context), reclamation events
-/// record into this scope instead of the process globals. Read the cell's
-/// own totals with [`MemScope::snapshot`]; on drop the totals flush into
-/// the globals, so whole-run summaries still see every event exactly once.
+/// record into this scope. Read the cell's own totals with
+/// [`MemScope::snapshot`]. Scopes nest: an inner scope takes the events
+/// until it drops, and the outer one does not see them.
 pub struct MemScope {
     block: Arc<Block>,
     _guard: ctx::ScopeGuard,
@@ -167,12 +120,6 @@ impl MemScope {
     }
 }
 
-impl Drop for MemScope {
-    fn drop(&mut self) {
-        GLOBAL.add(&self.block.read());
-    }
-}
-
 /// A point-in-time copy of the reclamation counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemSnapshot {
@@ -193,20 +140,7 @@ pub struct MemSnapshot {
 }
 
 impl MemSnapshot {
-    /// Events recorded since `before` (field-wise saturating subtraction).
-    pub fn delta(&self, before: &MemSnapshot) -> MemSnapshot {
-        MemSnapshot {
-            epoch_advances: self.epoch_advances.saturating_sub(before.epoch_advances),
-            hazard_scans: self.hazard_scans.saturating_sub(before.hazard_scans),
-            hazard_reclaimed: self.hazard_reclaimed.saturating_sub(before.hazard_reclaimed),
-            orphans_parked: self.orphans_parked.saturating_sub(before.orphans_parked),
-            orphans_drained: self.orphans_drained.saturating_sub(before.orphans_drained),
-            lanes_released: self.lanes_released.saturating_sub(before.lanes_released),
-            limbo_reclaimed: self.limbo_reclaimed.saturating_sub(before.limbo_reclaimed),
-        }
-    }
-
-    /// Field-wise sum (for aggregating scoped deltas).
+    /// Field-wise sum (for aggregating several scopes' snapshots).
     pub fn merge(&self, other: &MemSnapshot) -> MemSnapshot {
         MemSnapshot {
             epoch_advances: self.epoch_advances + other.epoch_advances,
@@ -220,25 +154,12 @@ impl MemSnapshot {
     }
 }
 
-/// Read the current **process-global** counters. Events recorded inside a
-/// live [`MemScope`] are not visible here until that scope drops (and
-/// flushes).
-pub fn snapshot() -> MemSnapshot {
-    GLOBAL.read()
-}
-
-/// Zero the global counters (benchmark harness use; racy with concurrent
-/// reclamation by design — call between runs). Live scopes are unaffected.
-pub fn reset() {
-    GLOBAL.zero();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn delta_and_merge_are_fieldwise() {
+    fn merge_is_fieldwise() {
         let a = MemSnapshot {
             epoch_advances: 5,
             hazard_scans: 2,
@@ -250,35 +171,28 @@ mod tests {
             hazard_reclaimed: 7,
             ..Default::default()
         };
-        let d = b.delta(&a);
-        assert_eq!(d.epoch_advances, 4);
-        assert_eq!(d.hazard_scans, 0);
-        assert_eq!(d.hazard_reclaimed, 7);
-        // Saturating: a reset between snapshots never underflows.
-        assert_eq!(a.delta(&b).epoch_advances, 0);
         let m = a.merge(&b);
         assert_eq!(m.epoch_advances, 14);
+        assert_eq!(m.hazard_scans, 4);
         assert_eq!(m.hazard_reclaimed, 7);
     }
 
     #[test]
-    fn scope_isolates_and_flushes_on_drop() {
-        let before = snapshot();
-        let scoped_total;
+    fn scope_counts_only_while_installed() {
+        // Before the scope: not counted in it.
+        record_hazard_scan();
+        let scope = MemScope::new();
+        record_hazard_scan();
+        record_hazard_reclaimed(5);
         {
-            let scope = MemScope::new();
+            // An inner scope takes the events while it lives.
+            let inner = MemScope::new();
             record_hazard_scan();
-            record_hazard_reclaimed(5);
-            let s = scope.snapshot();
-            assert_eq!(s.hazard_scans, 1);
-            assert_eq!(s.hazard_reclaimed, 5);
-            scoped_total = s;
+            assert_eq!(inner.snapshot().hazard_scans, 1);
         }
-        // After the drop the scope's totals are in the globals (other
-        // tests may add more concurrently, hence >=).
-        let after = snapshot().delta(&before);
-        assert!(after.hazard_scans >= scoped_total.hazard_scans);
-        assert!(after.hazard_reclaimed >= scoped_total.hazard_reclaimed);
+        let s = scope.snapshot();
+        assert_eq!(s.hazard_scans, 1);
+        assert_eq!(s.hazard_reclaimed, 5);
     }
 
     #[test]
@@ -299,19 +213,20 @@ mod tests {
 
     #[test]
     fn epoch_advances_are_counted() {
-        let before = snapshot().epoch_advances;
-        // Drive the epoch forward a few steps (tolerating other tests'
-        // pins — advances by anyone are still counted globally).
+        // Drive the epoch forward a few steps. Other tests' threads may pin
+        // or advance it too; only this thread's successful advances land
+        // in its scope.
+        let scope = MemScope::new();
         let start = crate::epoch::current();
-        let mut tries = 0u64;
+        let (mut tries, mut ours) = (0u64, 0u64);
         while crate::epoch::current() < start + 4 {
-            crate::epoch::try_advance();
+            ours += crate::epoch::try_advance() as u64;
             tries += 1;
             if tries.is_multiple_of(1024) {
                 std::thread::yield_now();
             }
             assert!(tries < 100_000_000, "epoch stalled");
         }
-        assert!(snapshot().epoch_advances > before);
+        assert_eq!(scope.snapshot().epoch_advances, ours);
     }
 }

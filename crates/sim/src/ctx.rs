@@ -1,20 +1,18 @@
 //! Scoped per-thread context: the plumbing that lets independent
 //! simulation cells run concurrently on real OS threads.
 //!
-//! Historically every observability channel in the workspace (HTM stats,
-//! reclamation counters, latency histograms, linearizability histories,
-//! abort-injection schedules) was a process-global: harmless while the
-//! harness ran one cell at a time, fatal once `run_all`/`lincheck` shard
-//! cells across cores — concurrent cells would bleed counts into each
-//! other's deltas.
+//! Every observability channel in the workspace (HTM stats, reclamation
+//! counters, latency histograms, linearizability histories,
+//! abort-injection schedules) is scoped to a cell, so `run_all`/`lincheck`
+//! can shard cells across cores without one cell's counts bleeding into
+//! another's.
 //!
 //! This module gives each OS thread a tiny array of **context slots**,
 //! each holding an `Arc<dyn Any>` installed by a scope guard. A cell
 //! runner sets its slots, and [`Sim::run`](crate::sched::Sim::run)
 //! propagates them to every lane thread it spawns ([`capture`]/[`adopt`]).
-//! Consumers (`pto-htm` stats, `pto-mem` counters, …) check their slot
-//! first and fall back to the process-global when it is empty, so
-//! single-cell runs and existing tests behave exactly as before.
+//! Consumers (`pto-htm` stats, `pto-mem` counters, …) check their slot and
+//! do nothing when it is empty.
 //!
 //! The slot array is deliberately flat and fixed-size: a lookup is one
 //! thread-local borrow and an index — cheap enough for abort-injection's

@@ -2,12 +2,13 @@
 //! simulation cells across real OS threads.
 //!
 //! Every `(seed, schedule, variant)` cell in the bench figures and the
-//! lincheck explorer is an independent virtual-time run; nothing couples
-//! two cells except the process-global observability channels, which the
-//! scoped-context machinery ([`crate::ctx`]) isolates per worker. This
-//! module supplies the execution side: submit a batch of closures, get
-//! their results back **in submission order**, computed by however many
-//! workers the host offers.
+//! lincheck explorer is an independent virtual-time run. Its observability
+//! channels are scoped per cell ([`crate::ctx`]), and workers inherit the
+//! scopes. Two cells still share the process-wide orec table, version
+//! clock and epoch, so concurrent cells' transactions can false-conflict
+//! through the orec table. This module supplies the execution side:
+//! submit a batch of closures, get their results back **in submission
+//! order**, computed by however many workers the host offers.
 //!
 //! Scheduling is the degenerate single-queue form of work stealing: all
 //! jobs sit in one shared array and idle workers "steal" the next index
@@ -20,7 +21,8 @@
 //! Determinism: workers inherit the submitting thread's context slots and
 //! each job's index is stable, so a deterministic cell computes the same
 //! result whether it runs on the submitter (`PTO_PAR=1`), 4 workers, or
-//! 64 — byte-identical, asserted by the tests here and `perf_smoke`.
+//! 64 — byte-identical, asserted by the tests here and in `pto-bench`'s
+//! `cells` module.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

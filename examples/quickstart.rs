@@ -44,11 +44,4 @@ fn main() {
         set.stats1.fast.get(),
         set.stats1.fallback.get(),
     );
-    let h = pto::htm::snapshot();
-    println!(
-        "HTM: {} begins, {} commits, commit rate {:.1}%",
-        h.begins,
-        h.commits,
-        100.0 * h.commit_rate()
-    );
 }

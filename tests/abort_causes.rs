@@ -1,17 +1,14 @@
 //! Per-variant abort-cause observability (end to end): two PTO variants
 //! with *different* deterministic abort modes run interleaved in one
 //! process, and each variant's own `PtoStats.causes` reports only its own
-//! cause mix — while the process-global HTM counters see the union, the
-//! scoped snapshot delta separates sequential regions.
-//!
-//! One test function on purpose: the scoped-snapshot half reads the
-//! process-global HTM counters, which a concurrently running sibling test
-//! would pollute.
+//! cause mix; an `HtmScope` per sequential region separates the regions'
+//! HTM counts the same way.
 
 use pto::bst::{Bst, BstVariant};
 use pto::core::policy::PtoPolicy;
 use pto::core::ConcurrentSet;
 use pto::core::Quiescence;
+use pto::htm::HtmScope;
 use pto::mindicator::PtoMindicator;
 
 #[test]
@@ -49,22 +46,25 @@ fn interleaved_variants_report_independent_cause_mixes() {
     assert_eq!(b.causes.total(), b.aborted_attempts.get());
 
     // Second half — the bench-harness attribution pattern: sequential
-    // regions bracketed by global snapshots. Region 1 only aborts
-    // Spurious; region 2 only Capacity; the deltas separate them exactly.
-    let h0 = pto::htm::snapshot();
-    let spurious = PtoMindicator::with_policy(8, PtoPolicy::with_attempts(1).with_chaos(100));
-    spurious.arrive(3);
-    spurious.depart();
-    let region1 = pto::htm::snapshot().delta(&h0);
-
-    let h1 = pto::htm::snapshot();
-    let capped = Bst::with_policies(
-        BstVariant::Pto1,
-        PtoPolicy::with_attempts(1).with_write_cap(1),
-        PtoPolicy::with_attempts(1),
-    );
-    capped.insert(1);
-    let region2 = pto::htm::snapshot().delta(&h1);
+    // regions, each under its own scope. Region 1 only aborts Spurious;
+    // region 2 only Capacity; the scopes separate them exactly.
+    let region1 = {
+        let scope = HtmScope::new();
+        let spurious = PtoMindicator::with_policy(8, PtoPolicy::with_attempts(1).with_chaos(100));
+        spurious.arrive(3);
+        spurious.depart();
+        scope.snapshot()
+    };
+    let region2 = {
+        let scope = HtmScope::new();
+        let capped = Bst::with_policies(
+            BstVariant::Pto1,
+            PtoPolicy::with_attempts(1).with_write_cap(1),
+            PtoPolicy::with_attempts(1),
+        );
+        capped.insert(1);
+        scope.snapshot()
+    };
 
     assert!(region1.aborts_spurious > 0);
     assert_eq!(region1.aborts_capacity, 0);

@@ -31,6 +31,7 @@ fn set_oracle_run(s: &dyn ConcurrentSet, seed: u64, ops: usize, range: u64) {
 
 #[test]
 fn bst_is_correct_under_spurious_aborts() {
+    let scope = pto::htm::HtmScope::new();
     let t = pto::bst::Bst::with_policies(
         pto::bst::BstVariant::Pto1Pto2,
         chaotic(2),
@@ -38,8 +39,7 @@ fn bst_is_correct_under_spurious_aborts() {
     );
     set_oracle_run(&t, 1, 3_000, 128);
     t.check_structure().unwrap();
-    let h = pto::htm::snapshot();
-    assert!(h.aborts_spurious > 0, "chaos never struck");
+    assert!(scope.snapshot().aborts_spurious > 0, "chaos never struck");
 }
 
 #[test]

@@ -39,17 +39,19 @@ use pto_sim::rng::XorShift64;
 use pto_sim::{CostKind, Sim};
 use std::sync::Mutex;
 
-/// Global HTM stats are process-wide; serialize so deltas attribute only
-/// our own transactions (this file is its own test binary).
+/// The orec table, the version clock and the epoch are process-wide:
+/// goldens running at once could conflict-abort each other's transactions
+/// and change their makespans. Serialize (this file is its own test
+/// binary).
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// (makespan, begins, commits, conflict, capacity, explicit, nested, spurious)
 type Golden = (u64, u64, u64, u64, u64, u64, u64, u64);
 
 fn measure(body: impl FnOnce() -> u64) -> Golden {
-    let h0 = pto_htm::snapshot();
+    let scope = pto_htm::HtmScope::new();
     let makespan = body();
-    let d = pto_htm::snapshot().delta(&h0);
+    let d = scope.snapshot();
     (
         makespan,
         d.begins,
@@ -304,8 +306,12 @@ fn hash_workload(v: HashVariant) -> u64 {
 /// the unattached stream, whose state persists per OS thread, so a
 /// prefill on the test thread would not repeat on the second run.
 fn mound_workload(m: &Mound) -> u64 {
+    // The prefill thread adopts this thread's context, so its
+    // transactions count in the caller's `HtmScope`.
+    let inherited = pto_sim::ctx::capture();
     std::thread::scope(|s| {
         s.spawn(|| {
+            pto_sim::ctx::adopt(&inherited);
             let mut rng = XorShift64::new(42 ^ 0xFEED_F00D);
             for _ in 0..256 {
                 m.push(rng.below(1_024));
