@@ -54,8 +54,8 @@ step "benchmark check: smoke run of all four benchmark workloads" \
 step "obs smoke: one session's trace, counter tracks, attribution, overflow, SLO rails" \
     timeout 30 target/release/obs_smoke
 
-step "perf smoke: wallclock hot paths + BENCH_sim.json structural check" \
-    target/release/perf_smoke --check
+step "gate scale: per-charge host cost at 256 lanes stays under 8x the 8-lane cost" \
+    cargo test -q --release -p pto-sim --test gate_scale
 
 step "adaptive smoke: self-tuning policy beats/matches static budgets per regime" \
     timeout 30 target/release/adaptive_sweep --smoke
