@@ -34,8 +34,8 @@ step() {
     fi
 }
 
-step "lint: cargo clippy --workspace -- -D warnings" \
-    cargo clippy --workspace -- -D warnings
+step "lint: cargo clippy --workspace --all-targets -- -D warnings" \
+    cargo clippy --workspace --all-targets -- -D warnings
 
 step "tier-1: cargo test -q" cargo test -q
 

@@ -951,6 +951,7 @@ impl Bst {
         tx: &mut Txn<'e>,
         key: u64,
     ) -> TxResult<Option<(u32, u32)>> {
+        self.anchor.tx_check(tx)?;
         match self.tx_delete_whole(tx, check_key(key))? {
             Attempt::Deleted { p, l } => Ok(Some((p, l))),
             Attempt::Absent => Ok(None),
@@ -961,6 +962,7 @@ impl Bst {
     /// Transactional membership half for a composed prefix.
     #[doc(hidden)]
     pub fn tx_compose_contains<'e>(&'e self, tx: &mut Txn<'e>, key: u64) -> TxResult<bool> {
+        self.anchor.tx_check(tx)?;
         self.tx_lookup(tx, check_key(key))
     }
 

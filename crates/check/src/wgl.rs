@@ -551,6 +551,36 @@ mod tests {
         assert!(check(&h, SetSpec::default(), strict()).is_linearizable());
     }
 
+    /// The 4-op reversal core behind the release-only flake of
+    /// `explore::tests::broken_fifo_is_caught_and_minimized`, as one
+    /// 2-lane run recorded it: `BrokenFifo` handed lane 0 its later value
+    /// 6, and lane 1 got the earlier 4 some 700 cycles after lane 0's
+    /// dequeue returned. Under the explorer's margin (2q + 4,096 cycles)
+    /// the two dequeues may still reorder, so the core linearizes and the
+    /// minimizer must keep more ops; only a margin of at most a few
+    /// hundred cycles makes it a violation. The witness size therefore
+    /// depends on the host's 2-lane interleaving.
+    #[test]
+    fn fifo_reversal_core_linearizes_under_the_explorer_margin() {
+        let h = History {
+            lanes: vec![
+                vec![
+                    op(1729, 1729, Op::Enqueue(4), Ret::Unit),
+                    op(1906, 2322, Op::Enqueue(6), Ret::Unit),
+                    op(2820, 2997, Op::Dequeue, Ret::Opt(Some(6))),
+                ],
+                vec![op(3683, 3860, Op::Dequeue, Ret::Opt(Some(4)))],
+            ],
+        };
+        let explorer = CheckOpts::for_quantum(pto_sim::sched::DEFAULT_QUANTUM);
+        assert!(check(&h, FifoSpec::default(), explorer).is_linearizable());
+        for margin in [0, 500] {
+            let opts = CheckOpts { margin, ..strict() };
+            let v = check(&h, FifoSpec::default(), opts);
+            assert!(!v.is_linearizable(), "margin {margin} linearized it");
+        }
+    }
+
     #[test]
     fn stale_read_after_response_is_caught() {
         // The insert RESPONDED (with margin) before the contains invoked,

@@ -219,7 +219,7 @@ fn abort_injection_walks_the_demotion_chain() {
     let t = Bst::with_adaptive(middle_forced(), middle_forced());
     pto_sim::clock::reset();
     pto_sim::Sim::new(4).run(|lane| {
-        let mut rng = pto_sim::rng::XorShift64::new(0xDE40 ^ (lane as u64 + 1) * 0x9E37_79B9);
+        let mut rng = pto_sim::rng::XorShift64::new(0xDE40 ^ ((lane as u64 + 1) * 0x9E37_79B9));
         for _ in 0..300 {
             let k = rng.below(8);
             if rng.chance(1, 2) {

@@ -13,19 +13,21 @@
 //! original lock-free code, but running two structures' fallbacks in
 //! sequence is not atomic. Following NBTC (Cai/Wen/Scott), the composed
 //! fallback is a deterministic two-phase lock: each participating
-//! structure embeds an [`Anchor`] (one `TxWord`, 0 = free / 1 = held);
-//! the fallback acquires every participant's anchor in **address order**
+//! structure embeds an [`Anchor`] (one `TxWord` whose bit 63 means "held
+//! by a composed fallback"; the low bits belong to the structure); the
+//! fallback acquires every participant's anchor in **address order**
 //! (sorted, deduped — so two composed ops naming the same structures in
 //! opposite argument order acquire in the same global order and cannot
 //! deadlock), runs the halves via the structures' ordinary operations,
 //! then releases in reverse.
 //!
-//! Prefix/fallback atomicity hangs on one rule: **every composed prefix
-//! reads every participant's anchor before touching the structure**
-//! ([`Anchor::tx_check`]). Then:
+//! Prefix/fallback atomicity hangs on one rule: **each structure's
+//! compose half makes its anchor check its first read**
+//! ([`Anchor::tx_check`]). Then, for every structure a prefix touches:
 //!
-//! * a prefix that reads an anchor *after* a fallback acquired it sees 1
-//!   and aborts (transient — [`AbortCause::Conflict`], retried);
+//! * a prefix that reads the anchor *after* a fallback acquired it sees
+//!   the held bit and aborts (transient — [`AbortCause::Conflict`],
+//!   retried);
 //! * a prefix that read the anchor *before* the acquisition cannot commit
 //!   *after* it: the fallback's CAS bumped the anchor's orec version, so
 //!   TL2 read-set validation fails at commit. A prefix therefore never
@@ -33,6 +35,14 @@
 //! * two fallbacks over intersecting anchor sets mutually exclude on the
 //!   shared anchor, and the global address order makes the acquisition
 //!   graph acyclic.
+//!
+//! A participant the prefix never touches (a transfer whose source lacks
+//! the key) needs no check: none of its state reaches the result. So the
+//! executor adds no reads, and the hash table keeps its generation in its
+//! anchor word, taking the check from a read it does anyway. Acquisition
+//! is a peek, then one CAS setting the held bit; release is one store of
+//! the holder's last value without it — exact, because only the holder
+//! rewrites a held word ([`Anchor::cas_value`]).
 //!
 //! The cost, stated plainly: the composed fallback **blocks** (anchors
 //! are locks), which is NBTC's trade too — the lock-free guarantee holds
@@ -49,17 +59,28 @@
 //! [`ComposeMode::Adaptive`] each composed call site gets its own
 //! `SiteState` in the PR 9 adaptive policy — retry budgets, the
 //! middle path, and regime flips all work unchanged, because the middle
-//! path re-runs the wrapped prefix (anchor checks included) under a
+//! path re-runs the prefix (its halves' anchor checks included) under a
 //! software-held orec and still commits through TL2 validation.
 
 use crate::policy::{self, AdaptivePolicy, PtoPolicy, PtoStats};
 use pto_htm::{Abort, AbortCause, TxResult, TxWord, Txn};
 use pto_sim::obs::{self, Event, Site};
+use std::cell::RefCell;
 use std::sync::atomic::Ordering;
 
-/// A structure's participation word for composed operations: 0 = free,
-/// 1 = held by a composed fallback. Embed one per structure and expose it
-/// via an `anchor()` accessor.
+/// Bit 63 of an anchor word: set while a composed fallback holds it.
+const HELD: u64 = 1 << 63;
+
+thread_local! {
+    /// Anchors this thread holds: uncharged bookkeeping, standing in for
+    /// a guard passed down to the holder's own operations.
+    static HELD_HERE: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A structure's participation word for composed operations: bit 63 set
+/// = held by a composed fallback, the low bits belong to the structure
+/// ([`Anchor::value`]). Embed one per structure and expose it via an
+/// `anchor()` accessor.
 #[derive(Debug)]
 pub struct Anchor {
     word: TxWord,
@@ -72,39 +93,59 @@ impl Anchor {
         }
     }
 
-    /// Transactionally assert the anchor is free. Call this for **every**
-    /// participant at the top of a composed prefix: a held anchor aborts
-    /// with [`AbortCause::Conflict`] (transient — the fallback holding it
-    /// will finish), and a free read enrolls the anchor in the read set so
-    /// a later acquisition dooms this transaction at commit.
-    pub fn tx_check<'e>(&'e self, tx: &mut Txn<'e>) -> TxResult<()> {
-        if tx.read(&self.word)? != 0 {
+    /// The owner's bits of anchor word `w` (the held bit cleared).
+    pub const fn value(w: u64) -> u64 {
+        w & !HELD
+    }
+
+    /// The anchor word; owners rewrite it only via [`Anchor::cas_value`].
+    pub fn word(&self) -> &TxWord {
+        &self.word
+    }
+
+    /// Transactionally assert the anchor is free and return the owner's
+    /// bits; every compose half's **first read**. A held anchor aborts with
+    /// [`AbortCause::Conflict`] (transient — the fallback holding it will
+    /// finish), and a free read enrolls the anchor in the read set so a
+    /// later acquisition dooms this transaction at commit.
+    pub fn tx_check<'e>(&'e self, tx: &mut Txn<'e>) -> TxResult<u64> {
+        let w = tx.read(&self.word)?;
+        if w & HELD != 0 {
             return Err(Abort {
                 cause: AbortCause::Conflict,
             });
         }
-        Ok(())
+        Ok(w)
     }
 
     /// Is a composed fallback currently holding this structure?
     pub fn is_held(&self) -> bool {
-        self.word.peek() != 0
+        self.word.peek() & HELD != 0
     }
 
+    /// Non-transactional CAS of the owner's bits from `old` to `new`.
+    /// The holder's own fallback keeps its held bit; on a word another
+    /// thread holds, the CAS fails and leaves the word unchanged.
+    pub fn cas_value(&self, old: u64, new: u64) -> bool {
+        let mine = HELD_HERE.with(|h| h.borrow().contains(&self.addr()));
+        let held = if mine { HELD } else { 0 };
+        self.word.cas(held | old, held | new)
+    }
+
+    /// Peek (the bare cell, not the orec), then one CAS setting the bit.
     fn try_lock(&self) -> bool {
-        self.word.cas(0, 1)
-    }
-
-    /// Racy "does it look held?" probe for the acquisition wait loop —
-    /// reads the bare cell without touching the anchor's orec.
-    fn looks_held(&self) -> bool {
-        self.word.peek_racy() != 0
+        let w = self.word.peek_racy();
+        w & HELD == 0 && self.word.cas(w, w | HELD)
     }
 
     fn unlock(&self) {
-        // The store bumps the anchor's orec version (strong atomicity), so
-        // prefixes that read "held" and are still live revalidate.
-        self.word.store(0, Ordering::Release);
+        // Only the holder writes a held word, so the cell holds its last
+        // value. The store bumps the anchor's orec version (strong
+        // atomicity), so live prefixes that read "held" revalidate.
+        let w = self.word.peek_racy();
+        self.word.store(w & !HELD, Ordering::Release);
+        let addr = self.addr();
+        HELD_HERE.with(|h| h.borrow_mut().retain(|&a| a != addr));
     }
 
     fn addr(&self) -> usize {
@@ -147,18 +188,16 @@ pub fn acquire_ordered<'a>(anchors: &[&'a Anchor]) -> AnchorGuard<'a> {
         // Test-then-CAS: the CAS probe goes through the word layer, which
         // locks the anchor's *orec* on every attempt — a waiter that CASed
         // in a tight loop would hold that orec at a high duty cycle and
-        // starve the very release (`store(0)`, which must lock the same
-        // orec) it is waiting for. Probe the bare cell instead and CAS
-        // only on an observed-free transition; while held, wait with the
+        // starve the very release (a `store`, which must lock the same
+        // orec) it is waiting for. `try_lock` probes the bare cell and
+        // CASes only on an observed-free word; while held, wait with the
         // gate-aware tick so the wait costs its virtual duration rather
         // than one charge per physical poll.
-        loop {
-            if !a.looks_held() && a.try_lock() {
-                break;
-            }
+        while !a.try_lock() {
             pto_sim::spin_wait_tick();
             std::hint::spin_loop();
         }
+        HELD_HERE.with(|h| h.borrow_mut().push(a.addr()));
         held.push(a);
     }
     AnchorGuard { held }
@@ -181,12 +220,14 @@ pub enum ComposeMode {
 /// one-shot use) and call [`Composed::run`] with a prefix closure that
 /// performs *both* halves transactionally and a fallback closure that
 /// performs both halves via the structures' ordinary operations. The
-/// executor wraps them: the prefix is preceded by [`Anchor::tx_check`]
-/// on every participant, the fallback by [`acquire_ordered`].
+/// executor runs the prefix as given and precedes the fallback with
+/// [`acquire_ordered`] over every participant.
 ///
-/// The prefix contract is the usual PTO one plus a composition rule: a
-/// half that observes a state it cannot handle transactionally (helping
-/// required, stale snapshot, unsupported variant) must **abort** (e.g.
+/// The prefix contract is the usual PTO one plus two composition rules:
+/// it touches a participant only through its compose halves (each makes
+/// [`Anchor::tx_check`] its first read), and a half that observes
+/// a state it cannot handle transactionally (helping required, stale
+/// snapshot, unsupported variant) must **abort** (e.g.
 /// [`crate::ABORT_HELP`]) rather than return having applied nothing —
 /// otherwise the transaction could commit with only the other half
 /// applied.
@@ -214,30 +255,23 @@ impl<'a> Composed<'a> {
     /// call site.
     #[track_caller]
     pub fn run<'e, T>(
-        &'e self,
-        mut prefix: impl FnMut(&mut Txn<'e>) -> TxResult<T>,
+        &self,
+        prefix: impl FnMut(&mut Txn<'e>) -> TxResult<T>,
         fallback: impl FnOnce() -> T,
     ) -> T {
         let site = Site::caller();
         obs::emit(Event::ComposeEnter);
-        let anchors = &self.anchors;
-        let wrapped_prefix = move |tx: &mut Txn<'e>| -> TxResult<T> {
-            for a in anchors.iter() {
-                a.tx_check(tx)?;
-            }
-            prefix(tx)
-        };
-        let wrapped_fallback = move || {
+        let wrapped_fallback = || {
             obs::emit(Event::ComposeFallback);
-            let _held = acquire_ordered(anchors);
+            let _held = acquire_ordered(&self.anchors);
             fallback()
         };
         match self.mode {
             ComposeMode::Static(ref p) => {
-                policy::pto_at(site, p, &self.stats, wrapped_prefix, wrapped_fallback)
+                policy::pto_at(site, p, &self.stats, prefix, wrapped_fallback)
             }
             ComposeMode::Adaptive(ref ap) => {
-                policy::pto_adaptive_at(site, 0, ap, &self.stats, wrapped_prefix, wrapped_fallback)
+                policy::pto_adaptive_at(site, 0, ap, &self.stats, prefix, wrapped_fallback)
             }
         }
     }
@@ -319,14 +353,46 @@ mod tests {
     fn composed_prefix_sees_held_anchor_as_conflict() {
         let a = Anchor::new();
         let b = Anchor::new();
+        // The executor adds no anchor reads: the prefix's own check of b
+        // is what aborts while a fallback holds b.
         let held = acquire_ordered(&[&b]);
-        let c = compose(PtoPolicy::with_attempts(2), vec![&a, &b]);
-        // Prefix can never commit while b is held; the op lands on the
-        // fallback, which must wait for the holder — release first.
+        let got = pto_htm::transaction(|tx| {
+            a.tx_check(tx)?;
+            b.tx_check(tx)
+        });
+        assert_eq!(got, Err(AbortCause::Conflict));
         drop(held);
-        let via = c.run(|_tx| Ok(1u64), || 2u64);
+        let c = compose(PtoPolicy::with_attempts(2), vec![&a, &b]);
+        let via = c.run(
+            |tx| {
+                a.tx_check(tx)?;
+                b.tx_check(tx)?;
+                Ok(1u64)
+            },
+            || 2u64,
+        );
         assert_eq!(via, 1);
         assert_eq!(c.stats.fast.get(), 1);
+    }
+
+    #[test]
+    fn only_the_holder_rewrites_a_held_word() {
+        let a = Anchor::new();
+        let held = acquire_ordered(&[&a]);
+        // Another thread's CAS expects no held bit: it fails and leaves
+        // the word as it is.
+        std::thread::scope(|s| {
+            s.spawn(|| assert!(!a.cas_value(0, 1)));
+        });
+        assert!(a.is_held());
+        assert_eq!(Anchor::value(a.word().peek()), 0);
+        // The holder's CAS keeps the bit; the release keeps the value.
+        assert!(a.cas_value(0, 1));
+        assert!(a.is_held());
+        drop(held);
+        assert_eq!(a.word().peek(), 1);
+        assert_eq!(pto_htm::transaction(|tx| a.tx_check(tx)), Ok(1));
+        assert!(a.cas_value(1, 2), "a free word takes any thread's CAS");
     }
 
     #[test]

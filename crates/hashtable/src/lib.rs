@@ -38,6 +38,8 @@
 //! operation stalls; the simulator's gate keeps every lane within one
 //! quantum of the slowest, so no lane stalls that long. Bucket
 //! generations live in an append-only registry so readers never lock.
+//! The table word naming the current generation is also the table's
+//! compose anchor ([`pto_core::compose::Anchor`]; bit 63 = held).
 
 use pto_sim::sync::Mutex;
 use pto_core::compose::Anchor;
@@ -156,12 +158,12 @@ pub struct FSetHashTable {
     /// generation's size is carried by its slice length.
     gens: [OnceLock<Box<[TxWord]>>; MAX_GENS],
     grow_lock: Mutex<()>,
-    /// Current generation index.
-    table: TxWord,
+    /// Current generation index, in the low bits of this table's compose
+    /// anchor: bit 63 set means a composed fallback holds the table.
+    table: Anchor,
     variant: HashVariant,
     policy: PtoPolicy,
     pub stats: PtoStats,
-    anchor: Anchor,
 }
 
 impl FSetHashTable {
@@ -179,11 +181,10 @@ impl FSetHashTable {
             arrays: Pool::new(),
             gens: std::array::from_fn(|_| OnceLock::new()),
             grow_lock: Mutex::new(()),
-            table: TxWord::new(0),
+            table: Anchor::new(),
             variant,
             policy,
             stats: PtoStats::new(),
-            anchor: Anchor::new(),
         };
         // Generation 0: all buckets empty (NIL array, count 0).
         let g0: Box<[TxWord]> = (0..init_buckets)
@@ -200,7 +201,7 @@ impl FSetHashTable {
 
     #[inline]
     fn current(&self) -> (usize, &[TxWord]) {
-        let g = self.table.load(Ordering::Acquire) as usize;
+        let g = Anchor::value(self.table.word().load(Ordering::Acquire)) as usize;
         (g, self.gen_buckets(g))
     }
 
@@ -221,7 +222,8 @@ impl FSetHashTable {
     }
 
     /// Install the next generation (doubling when `grow`, halving
-    /// otherwise) and advance the table word. Idempotent under races.
+    /// otherwise) and advance the table word. Idempotent under races. A
+    /// held table word advances only by its holder's resize.
     fn resize(&self, from_gen: usize, grow: bool) {
         assert!(from_gen + 1 < MAX_GENS, "hash table generations exhausted");
         if self.gens[from_gen + 1].get().is_none() {
@@ -235,9 +237,7 @@ impl FSetHashTable {
                 let _ = self.gens[from_gen + 1].set(fresh);
             }
         }
-        let _ = self
-            .table
-            .compare_exchange(from_gen as u64, from_gen as u64 + 1, Ordering::SeqCst);
+        self.table.cas_value(from_gen as u64, from_gen as u64 + 1);
     }
 
     /// Freeze bucket `b` of generation `g` and return its (frozen) word.
@@ -363,8 +363,7 @@ impl FSetHashTable {
             }
             if bw_frozen(w) {
                 // A newer generation exists; help advance and retry.
-                let cur = self.table.load(Ordering::Acquire) as usize;
-                if cur == g {
+                if self.current().0 == g {
                     self.resize(g, true);
                 }
                 continue;
@@ -459,9 +458,19 @@ impl FSetHashTable {
     // ------------------------------------------------------------------
 
     /// Transactional bucket read: table word, bucket word; aborts to the
-    /// fallback on any resize-related state.
-    fn tx_bucket<'e>(&'e self, tx: &mut Txn<'e>, k: u32) -> TxResult<(usize, usize, u64)> {
-        let g = tx.read(&self.table)? as usize;
+    /// fallback on any resize-related state. Only `composed` halves abort
+    /// on a held table word: the holder's own plain prefixes must not.
+    fn tx_bucket<'e>(
+        &'e self,
+        tx: &mut Txn<'e>,
+        k: u32,
+        composed: bool,
+    ) -> TxResult<(usize, usize, u64)> {
+        let g = if composed {
+            self.table.tx_check(tx)?
+        } else {
+            Anchor::value(tx.read(self.table.word())?)
+        } as usize;
         let buckets = self.gen_buckets(g);
         let b = Self::hash(k, buckets.len());
         let w = tx.read(&buckets[b])?;
@@ -488,8 +497,8 @@ impl FSetHashTable {
 
     /// PTO lookup prefix: no epoch pin, no double-check — the transaction
     /// subsumes both (§2.3, §4.5).
-    fn tx_lookup<'e>(&'e self, tx: &mut Txn<'e>, k: u32) -> TxResult<bool> {
-        let (_, _, w) = self.tx_bucket(tx, k)?;
+    fn tx_lookup<'e>(&'e self, tx: &mut Txn<'e>, k: u32, composed: bool) -> TxResult<bool> {
+        let (_, _, w) = self.tx_bucket(tx, k, composed)?;
         Ok(self.tx_scan(tx, w, k)?.is_some())
     }
 
@@ -504,7 +513,7 @@ impl FSetHashTable {
         add: bool,
         na_cache: &mut Option<u32>,
     ) -> TxResult<CowPrefix> {
-        let (g, b, w) = self.tx_bucket(tx, k)?;
+        let (g, b, w) = self.tx_bucket(tx, k, false)?;
         let (arr, len) = (bw_arr(w), bw_len(w));
         if self.tx_scan(tx, w, k)?.is_some() == add {
             return Ok(CowPrefix::Done {
@@ -552,8 +561,14 @@ impl FSetHashTable {
     /// In-place update prefix (§3.3/§5): mutate the array directly inside
     /// the transaction and rewrite the bucket word with the new length and
     /// a bumped counter. No allocation, no copy.
-    fn tx_update_inplace<'e>(&'e self, tx: &mut Txn<'e>, k: u32, add: bool) -> TxResult<Attempt> {
-        let (g, b, w) = self.tx_bucket(tx, k)?;
+    fn tx_update_inplace<'e>(
+        &'e self,
+        tx: &mut Txn<'e>,
+        k: u32,
+        add: bool,
+        composed: bool,
+    ) -> TxResult<Attempt> {
+        let (g, b, w) = self.tx_bucket(tx, k, composed)?;
         let (arr, len) = (bw_arr(w), bw_len(w));
         let at = self.tx_scan(tx, w, k)?;
         if at.is_some() == add {
@@ -656,7 +671,7 @@ impl FSetHashTable {
                 let out = pto(
                     &self.policy,
                     &self.stats,
-                    |tx| self.tx_update_inplace(tx, k, add),
+                    |tx| self.tx_update_inplace(tx, k, add, false),
                     || {
                         let g = epoch::pin();
                         match self.cow_attempt(k, add) {
@@ -684,15 +699,16 @@ impl FSetHashTable {
     // Compose surface (pto_core::compose)
     // ------------------------------------------------------------------
 
-    /// This table's participation anchor for composed operations.
+    /// This table's participation anchor for composed operations (the
+    /// table word).
     pub fn anchor(&self) -> &Anchor {
-        &self.anchor
+        &self.table
     }
 
     /// Transactional membership half for a composed prefix.
     #[doc(hidden)]
     pub fn tx_compose_contains<'e>(&'e self, tx: &mut Txn<'e>, key: u64) -> TxResult<bool> {
-        self.tx_lookup(tx, check_key(key))
+        self.tx_lookup(tx, check_key(key), true)
     }
 
     /// Transactional update half for a composed prefix: insert (`add`) or
@@ -706,7 +722,7 @@ impl FSetHashTable {
         if self.variant != HashVariant::PtoInplace {
             return Err(tx.abort(pto_core::ABORT_HELP));
         }
-        match self.tx_update_inplace(tx, check_key(key), add)? {
+        match self.tx_update_inplace(tx, check_key(key), add, true)? {
             Attempt::Done(r) => Ok(r),
             Attempt::Full | Attempt::Retry => Err(tx.abort(pto_core::ABORT_HELP)),
         }
@@ -721,7 +737,7 @@ impl FSetHashTable {
             HashVariant::Pto => pto(
                 &self.policy,
                 &self.stats,
-                |tx| self.tx_lookup(tx, k),
+                |tx| self.tx_lookup(tx, k, false),
                 || {
                     let g = epoch::pin();
                     self.lf_lookup_waitfree(k, &g)
@@ -730,7 +746,7 @@ impl FSetHashTable {
             HashVariant::PtoInplace => pto(
                 &self.policy,
                 &self.stats,
-                |tx| self.tx_lookup(tx, k),
+                |tx| self.tx_lookup(tx, k, false),
                 || {
                     let g = epoch::pin();
                     self.lf_lookup_doublecheck(k, &g)
@@ -1024,6 +1040,62 @@ mod tests {
             }
         }
         assert_eq!(t.len(), count, "len/contains disagree after resize races");
+    }
+
+    /// A composed fallback's `insert` that grows the table while the
+    /// fallback holds the table word advances the generation under the
+    /// held bit; the release frees the word at g+1 and the next composed
+    /// prefix commits.
+    #[test]
+    fn a_held_resize_advances_the_generation_and_the_release_frees_it() {
+        use pto_core::compose::compose;
+        let t = FSetHashTable::new(HashVariant::PtoInplace, 2);
+        let g0 = t.current().0;
+        // attempts(0): every op takes the ordered-lock fallback.
+        let locked = compose(PtoPolicy::with_attempts(0), vec![t.anchor()]);
+        let mut k = 0;
+        while !locked.run(
+            |_tx| Ok(false),
+            || {
+                t.insert(k);
+                assert!(t.anchor().is_held());
+                t.current().0 > g0
+            },
+        ) {
+            k += 1;
+        }
+        assert_eq!(t.table.word().peek(), g0 as u64 + 1, "not free at g+1");
+        let site = compose(PtoPolicy::with_attempts(3), vec![t.anchor()]);
+        let found = site.run(
+            |tx| t.tx_compose_contains(tx, k),
+            || panic!("the prefix never committed after the release"),
+        );
+        assert!(found);
+        assert_eq!(site.stats.fast.get(), 1);
+    }
+
+    #[test]
+    fn a_resize_by_a_non_holder_leaves_a_held_word_unchanged() {
+        let t = FSetHashTable::new(HashVariant::PtoInplace, 2);
+        let held = pto_core::compose::acquire_ordered(&[t.anchor()]);
+        let word = t.table.word().peek();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                t.resize(0, true);
+                // Plain prefixes ignore the held bit: this lookup commits.
+                let fast = t.stats.fast.get();
+                assert!(!t.contains(5));
+                assert_eq!(t.stats.fast.get(), fast + 1);
+            });
+        });
+        assert_eq!(t.table.word().peek(), word);
+        assert_eq!(t.bucket_count(), 2);
+        // The holder's own resize advances the word and keeps it held.
+        t.resize(0, true);
+        assert!(t.anchor().is_held());
+        assert_eq!(t.bucket_count(), 4);
+        drop(held);
+        assert_eq!(t.table.word().peek(), 1);
     }
 
     #[test]

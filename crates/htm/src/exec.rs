@@ -543,7 +543,7 @@ mod tests {
         let foreign = crate::try_acquire_orec(b.orec_index(), 8).expect("uncontended");
         let r: Result<u64, _> = transaction_owned(TxOpts::default(), &mut g, |tx| {
             tx.read(&a)?;
-            tx.read(&b)
+            tx.read(b)
         });
         assert_eq!(r.unwrap_err(), AbortCause::Conflict);
         assert_eq!(crate::last_conflict_orec(), Some(b.orec_index()));
@@ -551,7 +551,7 @@ mod tests {
         // Retry under the same guard now commits.
         let r = transaction_owned(TxOpts::default(), &mut g, |tx| {
             let x = tx.read(&a)?;
-            let y = tx.read(&b)?;
+            let y = tx.read(b)?;
             tx.write(&a, x + y)?;
             Ok(())
         });

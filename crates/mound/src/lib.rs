@@ -509,6 +509,7 @@ impl Mound {
         &'e self,
         tx: &mut pto_htm::Txn<'e>,
     ) -> pto_htm::TxResult<Option<(u32, u32)>> {
+        self.anchor.tx_check(tx)?;
         self.tx_pop_whole(tx)
     }
 
@@ -552,6 +553,7 @@ impl Mound {
         ln: u32,
     ) -> pto_htm::TxResult<()> {
         assert!(v < INF, "Mound keys must be < 2^32 - 1");
+        self.anchor.tx_check(tx)?;
         let mut n = 1usize;
         let mut level = 0u32;
         loop {

@@ -263,7 +263,7 @@ impl FifoQueue for MsQueue {
 /// anchored-fallback halves for cross-structure operations. These are the
 /// building blocks a `Composed` site assembles; they are not meant for
 /// direct standalone use (hence `doc(hidden)`), because on their own they
-/// provide neither retries nor the anchor protocol.
+/// provide neither retries nor the fallback's anchor locks.
 impl MsQueue {
     /// This queue's participation anchor for composed operations.
     pub fn anchor(&self) -> &Anchor {
@@ -290,6 +290,7 @@ impl MsQueue {
     /// Transactional enqueue half over a node from [`compose_alloc`].
     #[doc(hidden)]
     pub fn tx_enqueue_node<'e>(&'e self, tx: &mut Txn<'e>, node: u32) -> TxResult<()> {
+        self.anchor.tx_check(tx)?;
         self.tx_enqueue(tx, node)
     }
 
@@ -314,6 +315,7 @@ impl MsQueue {
     /// composed transaction commits.
     #[doc(hidden)]
     pub fn tx_dequeue_raw<'e>(&'e self, tx: &mut Txn<'e>) -> TxResult<Option<(u64, u32)>> {
+        self.anchor.tx_check(tx)?;
         self.tx_dequeue(tx)
     }
 

@@ -673,6 +673,7 @@ impl SkipListSet {
         tx: &mut pto_htm::Txn<'e>,
         ins: &ComposeInsert,
     ) -> TxResult<bool> {
+        self.list.anchor.tx_check(tx)?;
         for lvl in 0..ins.height {
             let link = tx.read(self.list.next(ins.preds[lvl], lvl))?;
             if link != mk(ins.succs[lvl], false) {

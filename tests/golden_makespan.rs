@@ -380,7 +380,7 @@ fn middle_path_word() -> u64 {
 /// conservation audits through one two-participant [`Composed`] site.
 /// One lane means the prefix never conflicts; the only aborts are the
 /// deterministic help-aborts on first-touch NIL buckets, so the makespan
-/// pins the composed-prefix cost (anchor reads included) and the
+/// pins the composed-prefix cost (anchor checks included) and the
 /// prefix/fallback split bit-exactly.
 fn composed_transfer_heavy() -> u64 {
     let a = FSetHashTable::new(HashVariant::PtoInplace, 64);
@@ -577,8 +577,15 @@ const GOLDEN_MOUND_PTO: Golden = (158877, 1112, 1112, 0, 0, 0, 0, 0);
 // wrapper's charged costs change on purpose. Re-pinned (47108 → 42900,
 // 96859 → 95119; HTM columns unchanged) with the hash goldens above: an
 // in-place prefix reads and writes its bucket's length in the bucket word.
-const GOLDEN_COMPOSED_TRANSFER_HEAVY: Golden = (42900, 584, 431, 0, 0, 153, 0, 0);
-const GOLDEN_COMPOSED_POP_INSERT: Golden = (95119, 472, 256, 0, 0, 216, 0, 0);
+// Re-pinned again (HTM columns unchanged) when each compose half began
+// checking its own anchor and the hash table's generation word became its
+// anchor: each workload runs 300 composed prefix attempts (one per op),
+// and a `TxLoad` charges 8 cycles. Transfer-heavy's prefixes no longer
+// read the two tables' separate anchor words: 300 × 2 × 8 = 4,800 fewer
+// (42900 → 38100). Pop-insert's keep the queue's anchor read and drop the
+// table's: 300 × 1 × 8 = 2,400 fewer (95119 → 92719).
+const GOLDEN_COMPOSED_TRANSFER_HEAVY: Golden = (38100, 584, 431, 0, 0, 153, 0, 0);
+const GOLDEN_COMPOSED_POP_INSERT: Golden = (92719, 472, 256, 0, 0, 216, 0, 0);
 
 #[test]
 fn golden_composed_transfer_heavy_1lane() {
