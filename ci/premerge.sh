@@ -63,6 +63,12 @@ step "adaptive smoke: self-tuning policy beats/matches static budgets per regime
 step "lincheck smoke: linearizability sweep, variant cells sharded across cores" \
     timeout 30 target/release/lincheck --smoke
 
+# The full sweep (5 schedules per variant, under a second): two hand-made
+# lock-free BST bugs passed the smoke's 2 schedules and only this caught
+# them.
+step "lincheck full: every variant at 5 schedules" \
+    timeout 30 target/release/lincheck
+
 # Bank-transfer (two hash tables, token conservation under concurrent
 # audits and abort injection) and order-book (mound + index agreement),
 # each across the fallback/pto/adaptive series with SLO rails, plus the

@@ -158,11 +158,10 @@ impl Default for BstNode {
 }
 
 /// An operation descriptor (Ellen et al.'s IInfo/DInfo), enabling helping.
-/// Descriptors are never accessed inside prefix transactions.
+/// Descriptors are never accessed inside prefix transactions. The update
+/// word's flag says which op an `Info` belongs to.
 #[derive(Default)]
 pub struct Info {
-    /// 0 = insert, 1 = delete.
-    kind: TxWord,
     gp: TxWord,
     p: TxWord,
     /// The child word the op swings away from: `p → l` for an insert,
@@ -175,6 +174,22 @@ pub struct Info {
     dword: TxWord,
     gp_slot: TxWord,
     p_slot: TxWord,
+}
+
+/// The fields of an [`Info`]. The owner passes the values it wrote to the
+/// code that completes its op; a helper, which found the `Info` through an
+/// update word, loads the ones that word's state needs, once each
+/// ([`Bst::help`]).
+#[derive(Default)]
+struct Fields {
+    gp: u32,
+    p: u32,
+    link: u64,
+    ni: u64,
+    pupdate: u64,
+    dword: u64,
+    gp_slot: u64,
+    p_slot: u64,
 }
 
 /// An insert's private (internal, leaf) pair: empty until an attempt has
@@ -192,16 +207,17 @@ enum Attempt {
     Stale,
 }
 
-/// Search snapshot: leaf, parent, grandparent, their update words, the
-/// tagged child words of the `gp → p` and `p → l` edges, and which child
-/// slot each edge used (0 = left, 1 = right). The PTO1 walk reads no
-/// update word on the way down: its `gpu` and `pu` are 0 until the update
-/// phase reads the ones it needs.
+/// Search snapshot: leaf and its key, parent, grandparent, their update
+/// words, the tagged child words of the `gp → p` and `p → l` edges, and
+/// which child slot each edge used (0 = left, 1 = right). The PTO1 walk
+/// reads no update word on the way down: its `gpu` and `pu` are 0 until
+/// the update phase reads the ones it needs.
 #[derive(Clone, Copy, Debug)]
 struct Snap {
     gp: u32,
     p: u32,
     l: u32,
+    lk: u32,
     gpu: u64,
     pu: u64,
     pw: u64,
@@ -338,8 +354,8 @@ impl Bst {
 
     /// The search phase: returns leaf, parent, grandparent and their update
     /// snapshots, reading per level the update word, the key and the child
-    /// word, whose leaf bit ends the walk. Requires an epoch guard
-    /// (traverses shared nodes).
+    /// word, whose leaf bit ends the walk, and then the leaf's key.
+    /// Requires an epoch guard (traverses shared nodes).
     fn search(&self, k: u32, _g: &Guard) -> Snap {
         let mut gp;
         let mut gpu;
@@ -362,10 +378,12 @@ impl Bst {
             p_slot = if k < pk { 0 } else { 1 };
             lw = self.child_word(p, p_slot).load(Ordering::Acquire);
             if link_is_leaf(lw) {
+                let l = link_idx(lw);
                 return Snap {
                     gp,
                     p,
-                    l: link_idx(lw),
+                    l,
+                    lk: self.node(l).key.load(Ordering::Acquire) as u32,
                     gpu,
                     pu,
                     pw,
@@ -421,108 +439,114 @@ impl Bst {
         ni
     }
 
+    /// Help the op whose `Info` the update word `w` names: load the fields
+    /// `w`'s state needs, once each, and finish the op from there.
     fn help(&self, w: u64) {
-        match up_state(w) {
-            ST_IFLAG => self.help_insert(up_info(w), w),
-            ST_DFLAG => {
-                self.help_delete(up_info(w));
-            }
-            ST_MARK => {
-                let i = up_info(w);
-                if i != DUMMY_INFO {
-                    // A marked parent of an in-flight delete: finish the
-                    // prune. (Dummy marks are already fully removed.)
-                    self.help_marked(i);
-                }
-            }
-            _ => {}
+        let (state, i) = (up_state(w), up_info(w));
+        // Dummy marks are already fully removed.
+        if state == ST_CLEAN || i == DUMMY_INFO {
+            return;
+        }
+        let info = self.infos.get(i);
+        let ld = |word: &TxWord| word.load(Ordering::Acquire);
+        let f = Fields {
+            p: ld(&info.p) as u32,
+            link: ld(&info.link),
+            p_slot: ld(&info.p_slot),
+            ..Fields::default()
+        };
+        if state == ST_IFLAG {
+            let ni = ld(&info.ni);
+            return self.help_insert(&Fields { ni, ..f }, w);
+        }
+        let f = Fields {
+            gp: ld(&info.gp) as u32,
+            dword: ld(&info.dword),
+            gp_slot: ld(&info.gp_slot),
+            ..f
+        };
+        if state == ST_DFLAG {
+            let pupdate = ld(&info.pupdate);
+            self.help_delete(&Fields { pupdate, ..f });
+        } else {
+            // A marked parent of an in-flight delete: finish the prune.
+            self.help_marked(&f);
         }
     }
 
-    fn help_insert(&self, i: u32, iword: u64) {
-        let info = self.infos.get(i);
-        let p = info.p.load(Ordering::Acquire) as u32;
-        let link = info.link.load(Ordering::Acquire);
-        let ni = info.ni.load(Ordering::Acquire);
-        let slot = info.p_slot.load(Ordering::Acquire);
+    fn help_insert(&self, f: &Fields, iword: u64) {
         // ichild then iunflag; both CASes are idempotent across helpers,
         // and the tag keeps a late ichild from re-linking a pruned `ni`.
         let _ = self
-            .child_word(p, slot)
-            .compare_exchange(link, ni, Ordering::SeqCst);
+            .child_word(f.p, f.p_slot)
+            .compare_exchange(f.link, f.ni, Ordering::SeqCst);
         let _ = self
-            .node(p)
+            .node(f.p)
             .update
             .compare_exchange(iword, clean_bump(iword), Ordering::SeqCst);
     }
 
     /// Returns true if the delete went through (marked + pruned), false if
     /// it had to back off (the parent changed under the flag).
-    fn help_delete(&self, i: u32) -> bool {
-        let info = self.infos.get(i);
-        let p = info.p.load(Ordering::Acquire) as u32;
-        let pupdate = info.pupdate.load(Ordering::Acquire);
-        let dword = info.dword.load(Ordering::Acquire);
-        let gp = info.gp.load(Ordering::Acquire) as u32;
-        let markword = up_pack(ST_MARK, i, up_count(pupdate) + 1);
+    fn help_delete(&self, f: &Fields) -> bool {
+        let markword = up_pack(ST_MARK, up_info(f.dword), up_count(f.pupdate) + 1);
         // Update counts only grow, so once this CAS fails no helper can
         // still install `markword`: the returned word settles it.
         let res = self
-            .node(p)
+            .node(f.p)
             .update
-            .compare_exchange(pupdate, markword, Ordering::SeqCst);
+            .compare_exchange(f.pupdate, markword, Ordering::SeqCst);
         if res.is_ok() || res == Err(markword) {
-            self.help_marked(i);
+            self.help_marked(f);
             true
         } else {
             // Backtrack: unflag the grandparent so others can proceed.
-            let _ = self
-                .node(gp)
-                .update
-                .compare_exchange(dword, clean_bump(dword), Ordering::SeqCst);
+            let _ = self.node(f.gp).update.compare_exchange(
+                f.dword,
+                clean_bump(f.dword),
+                Ordering::SeqCst,
+            );
             false
         }
     }
 
-    fn help_marked(&self, i: u32) {
-        let info = self.infos.get(i);
-        let gp = info.gp.load(Ordering::Acquire) as u32;
-        let p = info.p.load(Ordering::Acquire) as u32;
-        let dword = info.dword.load(Ordering::Acquire);
-        let gp_slot = info.gp_slot.load(Ordering::Acquire);
-        let p_slot = info.p_slot.load(Ordering::Acquire);
-        let link = info.link.load(Ordering::Acquire);
+    fn help_marked(&self, f: &Fields) {
         // The parent is marked: its children are frozen, the sibling read
         // is stable.
-        let sibling = self.child_word(p, 1 - p_slot).load(Ordering::Acquire);
-        let _ = self.child_word(gp, gp_slot).compare_exchange(
-            link,
-            link_bump(link, sibling),
+        let sibling = self.child_word(f.p, 1 - f.p_slot).load(Ordering::Acquire);
+        let _ = self.child_word(f.gp, f.gp_slot).compare_exchange(
+            f.link,
+            link_bump(f.link, sibling),
             Ordering::SeqCst,
         );
-        let _ = self
-            .node(gp)
-            .update
-            .compare_exchange(dword, clean_bump(dword), Ordering::SeqCst);
+        let _ =
+            self.node(f.gp)
+                .update
+                .compare_exchange(f.dword, clean_bump(f.dword), Ordering::SeqCst);
     }
 
     fn lf_insert_attempt(&self, k: u32, s: &Snap, pair: &InsertPair) -> Attempt {
-        let lk = self.node(s.l).key.load(Ordering::Acquire) as u32;
-        if lk == k {
+        if s.lk == k {
             return Attempt::Present;
         }
         if up_state(s.pu) != ST_CLEAN {
             self.help(s.pu);
             return Attempt::Stale;
         }
-        let ni = self.configure_insert_nodes(k, lk, s.l, pair);
+        let ni = self.configure_insert_nodes(k, s.lk, s.l, pair);
         let i = self.infos.alloc();
+        let f = Fields {
+            p: s.p,
+            link: s.lw,
+            ni: link_bump(s.lw, ni as u64),
+            p_slot: s.p_slot,
+            ..Fields::default()
+        };
         let info = self.infos.get(i);
-        info.kind.init(0);
-        info.p.init(s.p as u64);
-        info.link.init(s.lw);
-        info.ni.init(link_bump(s.lw, ni as u64));
-        info.p_slot.init(s.p_slot);
+        info.p.init(f.p as u64);
+        info.link.init(f.link);
+        info.ni.init(f.ni);
+        info.p_slot.init(f.p_slot);
         let iword = up_pack(ST_IFLAG, i, up_count(s.pu) + 1);
         if self
             .node(s.p)
@@ -530,7 +554,7 @@ impl Bst {
             .compare_exchange(s.pu, iword, Ordering::SeqCst)
             .is_ok()
         {
-            self.help_insert(i, iword);
+            self.help_insert(&f, iword);
             self.infos.retire(i);
             Attempt::Inserted
         } else {
@@ -540,7 +564,7 @@ impl Bst {
     }
 
     fn lf_delete_attempt(&self, k: u32, s: &Snap) -> Attempt {
-        if self.node(s.l).key.load(Ordering::Acquire) as u32 != k {
+        if s.lk != k {
             return Attempt::Absent;
         }
         if up_state(s.gpu) != ST_CLEAN {
@@ -552,23 +576,31 @@ impl Bst {
             return Attempt::Stale;
         }
         let i = self.infos.alloc();
+        let f = Fields {
+            gp: s.gp,
+            p: s.p,
+            link: s.pw,
+            pupdate: s.pu,
+            dword: up_pack(ST_DFLAG, i, up_count(s.gpu) + 1),
+            gp_slot: s.gp_slot,
+            p_slot: s.p_slot,
+            ..Fields::default()
+        };
         let info = self.infos.get(i);
-        info.kind.init(1);
-        info.gp.init(s.gp as u64);
-        info.p.init(s.p as u64);
-        info.link.init(s.pw);
-        info.pupdate.init(s.pu);
-        info.gp_slot.init(s.gp_slot);
-        info.p_slot.init(s.p_slot);
-        let dword = up_pack(ST_DFLAG, i, up_count(s.gpu) + 1);
-        info.dword.init(dword);
+        info.gp.init(f.gp as u64);
+        info.p.init(f.p as u64);
+        info.link.init(f.link);
+        info.pupdate.init(f.pupdate);
+        info.gp_slot.init(f.gp_slot);
+        info.p_slot.init(f.p_slot);
+        info.dword.init(f.dword);
         if self
             .node(s.gp)
             .update
-            .compare_exchange(s.gpu, dword, Ordering::SeqCst)
+            .compare_exchange(s.gpu, f.dword, Ordering::SeqCst)
             .is_ok()
         {
-            if self.help_delete(i) {
+            if self.help_delete(&f) {
                 self.infos.retire(i);
                 Attempt::Deleted { p: s.p, l: s.l }
             } else {
@@ -586,11 +618,11 @@ impl Bst {
     // ------------------------------------------------------------------
 
     /// The PTO1 walk: per level, the node's routing key and the child word
-    /// it follows, whose leaf bit ends the walk. Returns the path, with
-    /// update words 0, and the leaf's key. Every read of one transaction
+    /// it follows, whose leaf bit ends the walk. Returns the path and the
+    /// leaf's key, with update words 0. Every read of one transaction
     /// comes from one atomic snapshot, so Ellen's update-before-child read
     /// order, which [`Bst::search`] keeps for its CASes, buys nothing here.
-    fn tx_walk<'e>(&'e self, tx: &mut Txn<'e>, k: u32) -> TxResult<(Snap, u32)> {
+    fn tx_walk<'e>(&'e self, tx: &mut Txn<'e>, k: u32) -> TxResult<Snap> {
         // The first node visited is the root, which is always internal, so
         // the grandparent fields are overwritten before any leaf is found.
         let (mut gp, mut pw, mut gp_slot) = (self.grandroot, NIL_LINK, 0u64);
@@ -601,20 +633,18 @@ impl Bst {
             let l = link_idx(lw);
             let lk = tx.read(&self.node(l).key)? as u32;
             if link_is_leaf(lw) {
-                return Ok((
-                    Snap {
-                        gp,
-                        p,
-                        l,
-                        gpu: 0,
-                        pu: 0,
-                        pw,
-                        lw,
-                        gp_slot,
-                        p_slot,
-                    },
+                return Ok(Snap {
+                    gp,
+                    p,
+                    l,
                     lk,
-                ));
+                    gpu: 0,
+                    pu: 0,
+                    pw,
+                    lw,
+                    gp_slot,
+                    p_slot,
+                });
             }
             (gp, pw, gp_slot) = (p, lw, p_slot);
             (p, p_slot) = (l, (k >= lk) as u64);
@@ -631,15 +661,15 @@ impl Bst {
         k: u32,
         pair: &InsertPair,
     ) -> TxResult<Attempt> {
-        let (s, lk) = self.tx_walk(tx, k)?;
-        if lk == k {
+        let s = self.tx_walk(tx, k)?;
+        if s.lk == k {
             return Ok(Attempt::Present);
         }
         let pu = tx.read(&self.node(s.p).update)?;
         if up_state(pu) != ST_CLEAN {
             return Err(tx.abort(pto_core::ABORT_HELP));
         }
-        let ni = self.configure_insert_nodes(k, lk, s.l, pair);
+        let ni = self.configure_insert_nodes(k, s.lk, s.l, pair);
         tx.write(self.child_word(s.p, s.p_slot), link_bump(s.lw, ni as u64))?;
         tx.fence();
         tx.write(&self.node(s.p).update, clean_bump(pu))?;
@@ -650,8 +680,8 @@ impl Bst {
     /// PTO1 delete: mark the parent with the dummy descriptor, prune, bump
     /// the grandparent's update version — all atomically.
     fn tx_delete_whole<'e>(&'e self, tx: &mut Txn<'e>, k: u32) -> TxResult<Attempt> {
-        let (s, lk) = self.tx_walk(tx, k)?;
-        if lk != k {
+        let s = self.tx_walk(tx, k)?;
+        if s.lk != k {
             return Ok(Attempt::Absent);
         }
         let gpu = tx.read(&self.node(s.gp).update)?;
@@ -681,7 +711,7 @@ impl Bst {
 
     /// PTO1 lookup: the walk alone, no epoch interaction at all.
     fn tx_lookup<'e>(&'e self, tx: &mut Txn<'e>, k: u32) -> TxResult<bool> {
-        Ok(self.tx_walk(tx, k)?.1 == k)
+        Ok(self.tx_walk(tx, k)?.lk == k)
     }
 
     /// PTO2 insert: validate the (non-transactional) search snapshot, then
@@ -731,22 +761,21 @@ impl Bst {
         g: &Guard,
     ) -> Result<(Snap, u32), Attempt> {
         let s = self.search(k, g);
-        let lk = self.node(s.l).key.load(Ordering::Acquire) as u32;
-        if lk == k {
+        if s.lk == k {
             return Err(Attempt::Present);
         }
         if up_state(s.pu) != ST_CLEAN {
             self.help(s.pu);
             return Err(Attempt::Stale);
         }
-        let ni = self.configure_insert_nodes(k, lk, s.l, pair);
+        let ni = self.configure_insert_nodes(k, s.lk, s.l, pair);
         Ok((s, ni))
     }
 
     /// The non-transactional preamble of a PTO2 delete.
     fn pto2_delete_prepare(&self, k: u32, g: &Guard) -> Result<Snap, Attempt> {
         let s = self.search(k, g);
-        if self.node(s.l).key.load(Ordering::Acquire) as u32 != k {
+        if s.lk != k {
             return Err(Attempt::Absent);
         }
         if up_state(s.gpu) != ST_CLEAN {
@@ -1345,24 +1374,97 @@ mod tests {
         assert!(t.insert(10));
         let _pin = epoch::pin(); // keeps the descriptor and nodes unrecycled
         let s = t.search(20, &_pin);
-        let lk = t.node(s.l).key.load(Ordering::Acquire) as u32;
-        let ni = t.configure_insert_nodes(20, lk, s.l, &InsertPair::new(None));
+        let ni = t.configure_insert_nodes(20, s.lk, s.l, &InsertPair::new(None));
         let i = t.infos.alloc();
+        let f = Fields {
+            p: s.p,
+            link: s.lw,
+            ni: link_bump(s.lw, ni as u64),
+            p_slot: s.p_slot,
+            ..Fields::default()
+        };
         let info = t.infos.get(i);
-        info.kind.init(0);
-        info.p.init(s.p as u64);
-        info.link.init(s.lw);
-        info.ni.init(link_bump(s.lw, ni as u64));
-        info.p_slot.init(s.p_slot);
+        info.p.init(f.p as u64);
+        info.link.init(f.link);
+        info.ni.init(f.ni);
+        info.p_slot.init(f.p_slot);
         let iword = up_pack(ST_IFLAG, i, up_count(s.pu) + 1);
         assert!(t.node(s.p).update.cas(s.pu, iword));
-        t.help_insert(i, iword);
+        t.help_insert(&f, iword);
         assert!(t.contains(20));
         assert!(t.remove(20));
-        t.help_insert(i, iword); // the late helper
+        t.help(iword); // the late helper, which loads the fields from `i`
         assert!(!t.contains(20), "a late helper resurrected a removed key");
         t.check_structure().unwrap();
         assert!(t.insert(20) && t.remove(20), "the tree stays live");
+    }
+
+    /// A lock-free delete of `k` stopped right after its DFLAG CAS, with its
+    /// `Info` filled as `lf_delete_attempt` fills it. Returns the search
+    /// snapshot, the `Info` and the DFLAG word now at the grandparent.
+    fn flag_delete(t: &Bst, k: u32, g: &Guard) -> (Snap, u32, u64) {
+        let s = t.search(k, g);
+        assert_eq!(s.lk, k);
+        let i = t.infos.alloc();
+        let info = t.infos.get(i);
+        info.gp.init(s.gp as u64);
+        info.p.init(s.p as u64);
+        info.link.init(s.pw);
+        info.pupdate.init(s.pu);
+        info.gp_slot.init(s.gp_slot);
+        info.p_slot.init(s.p_slot);
+        let dword = up_pack(ST_DFLAG, i, up_count(s.gpu) + 1);
+        info.dword.init(dword);
+        assert!(t.node(s.gp).update.cas(s.gpu, dword));
+        (s, i, dword)
+    }
+
+    /// After `help` finished the delete of `k` that [`flag_delete`] began:
+    /// the key is gone, the grandparent is clean, the tree is well formed
+    /// and stays live.
+    fn check_helped_delete(t: &Bst, k: u32, s: &Snap, i: u32) {
+        assert!(!t.contains(k as u64), "the helper left {k} in the tree");
+        let gpu = t.node(s.gp).update.load(Ordering::Acquire);
+        assert_eq!(up_state(gpu), ST_CLEAN, "the grandparent stayed flagged");
+        t.check_structure().unwrap();
+        t.infos.retire(i);
+        t.compose_retire_pair(s.p, s.l);
+        assert!(
+            t.insert(k as u64) && t.remove(k as u64),
+            "the tree stays live"
+        );
+        t.check_structure().unwrap();
+    }
+
+    #[test]
+    fn help_finishes_a_delete_stopped_after_its_flag() {
+        // The owner stalls after flagging the grandparent; a helper that
+        // finds the DFLAG word marks the parent and prunes it.
+        for k in [10, 20, 30] {
+            let t = Bst::new(BstVariant::LockFree);
+            assert!(t.insert(10) && t.insert(20) && t.insert(30));
+            let pin = epoch::pin(); // keeps the descriptor and nodes unrecycled
+            let (s, i, dword) = flag_delete(&t, k, &pin);
+            assert!(t.contains(k as u64), "the flag alone removes nothing");
+            t.help(dword);
+            check_helped_delete(&t, k, &s, i);
+        }
+    }
+
+    #[test]
+    fn help_finishes_a_delete_stopped_after_its_mark() {
+        // The owner stalls after marking the parent; a helper that finds
+        // the MARK word prunes the parent and unflags the grandparent.
+        for k in [10, 20, 30] {
+            let t = Bst::new(BstVariant::LockFree);
+            assert!(t.insert(10) && t.insert(20) && t.insert(30));
+            let pin = epoch::pin(); // keeps the descriptor and nodes unrecycled
+            let (s, i, _) = flag_delete(&t, k, &pin);
+            let mark = up_pack(ST_MARK, i, up_count(s.pu) + 1);
+            assert!(t.node(s.p).update.cas(s.pu, mark));
+            t.help(mark);
+            check_helped_delete(&t, k, &s, i);
+        }
     }
 
     #[test]

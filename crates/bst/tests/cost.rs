@@ -105,11 +105,11 @@ fn op_cycles(t: &Bst, op: impl FnOnce(&Bst) -> bool) -> u64 {
     spent
 }
 
-/// Virtual cycles a lock-free `contains(k)` charges on this thread,
-/// checking that it finds `k`.
-fn lf_contains_cycles(t: &Bst, k: u64) -> u64 {
+/// Virtual cycles a lock-free `op` charges on this thread, checking that
+/// it succeeded.
+fn lf_cycles(t: &Bst, op: impl FnOnce(&Bst) -> bool) -> u64 {
     pto_sim::clock::reset();
-    assert!(t.contains(k), "the lookup missed {k}");
+    assert!(op(t), "the op failed");
     pto_sim::now()
 }
 
@@ -175,7 +175,71 @@ fn lockfree_lookup_reads_two_words_per_internal_node_on_either_turn() {
         let left = tree(BstVariant::LockFree, (1..=n).rev());
         let right = tree(BstVariant::LockFree, 1..=n);
         let want = pin + walk_reads(n + 1) * cycles(CostKind::SharedLoad);
-        assert_eq!(lf_contains_cycles(&left, 1), want, "left spine, n={n}");
-        assert_eq!(lf_contains_cycles(&right, n), want, "right spine, n={n}");
+        assert_eq!(
+            lf_cycles(&left, |t| t.contains(1)),
+            want,
+            "left spine, n={n}"
+        );
+        assert_eq!(
+            lf_cycles(&right, |t| t.contains(n)),
+            want,
+            "right spine, n={n}"
+        );
+    }
+}
+
+/// Shared loads of the lock-free search down a path through `levels`
+/// internal nodes: the grandroot's update word and link, then each
+/// level's update word, key and followed child word, then the leaf's key.
+fn search_loads(levels: u64) -> u64 {
+    2 + 3 * levels + 1
+}
+
+#[test]
+fn lockfree_updates_load_no_descriptor_field() {
+    let _s = serial();
+    // An uncontended lock-free update pins the epoch, searches, allocates
+    // its `Info`, stores the fields a helper would need, then completes
+    // its op with the values it holds: it loads no `Info` field. On top,
+    // an insert allocates and initializes its (internal, leaf) pair, and
+    // a remove reads the leaf's sibling and retires the pruned parent and
+    // leaf after its `Info`.
+    let c = cycles;
+    let pin = c(CostKind::EpochPin) + c(CostKind::EpochUnpin);
+    let pair = 2 * c(CostKind::PoolAlloc) + 8 * c(CostKind::SharedStore);
+    let info = |stores: u64| {
+        c(CostKind::PoolAlloc) + stores * c(CostKind::SharedStore) + c(CostKind::PoolFree)
+    };
+    for n in [2u64, 9, 24] {
+        // The spines of the lookup tests above: both walks pass n + 1
+        // internal nodes.
+        for (spine, keys, (hit, miss)) in [
+            ("left", (1..=n).rev().collect::<Vec<_>>(), (1, 0)),
+            ("right", (1..=n).collect(), (n, n + 1)),
+        ] {
+            let t = || tree(BstVariant::LockFree, keys.iter().copied());
+            let search = pin + search_loads(n + 1) * c(CostKind::SharedLoad);
+            // Stores `p`, `link`, `ni` and `p_slot`; CASes the parent's
+            // flag, its child word and its unflag.
+            let insert = search + pair + info(4) + 3 * c(CostKind::Cas);
+            // Stores `gp`, `p`, `link`, `pupdate`, `gp_slot`, `p_slot`
+            // and `dword`; CASes the grandparent's flag, the parent's
+            // mark, the grandparent's child word and its unflag.
+            let remove = search
+                + info(7)
+                + 4 * c(CostKind::Cas)
+                + c(CostKind::SharedLoad)
+                + 2 * c(CostKind::PoolFree);
+            assert_eq!(
+                lf_cycles(&t(), |t| t.insert(miss)),
+                insert,
+                "{spine} spine, n={n}"
+            );
+            assert_eq!(
+                lf_cycles(&t(), |t| t.remove(hit)),
+                remove,
+                "{spine} spine, n={n}"
+            );
+        }
     }
 }

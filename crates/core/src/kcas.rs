@@ -19,6 +19,11 @@
 //! the contention signal that PTO prefixes answer with an explicit abort
 //! (§2.4, [`crate::ABORT_HELP`]).
 //!
+//! The owner of an RDCSS completes it with its own arguments. Only a
+//! helper, which found the descriptor in a word, loads the fields, once
+//! each, between two checks of the sequence number. Every field is still
+//! stored, because helpers need it.
+//!
 //! ## Representation
 //!
 //! Data-structure words live behind the [`Heap`] trait (`location id →
@@ -87,6 +92,17 @@ const FAILED: u64 = 2;
 /// DCSS condition kinds.
 const COND_HEAP: u64 = 0;
 const COND_DCAS_STATUS: u64 = 1;
+
+/// The fields of an RDCSS, as its owner passes them to
+/// [`dcss_complete`]; only [`help_dcss`] loads them from a descriptor.
+struct Rdcss {
+    kind: u64,
+    cond_loc: u64,
+    cond_exp: u64,
+    target_loc: u64,
+    exp: u64,
+    new: u64,
+}
 
 #[derive(Default)]
 struct DcssDesc {
@@ -214,39 +230,68 @@ pub fn dcss<H: Heap>(
     new: u64,
 ) -> DcssResult {
     debug_assert!(exp <= MAX_VALUE && new <= MAX_VALUE && cond_exp & TAG_MASK == 0);
+    rdcss(
+        h,
+        &Rdcss {
+            kind: COND_HEAP,
+            cond_loc,
+            cond_exp,
+            target_loc,
+            exp,
+            new,
+        },
+    )
+}
+
+/// Run the RDCSS `f` as its owner: fill a descriptor, install it in the
+/// target and complete it with `f` itself. A DCAS reference in the target
+/// is helped under a heap condition; under a DCAS-status condition
+/// ([`dcas_execute`]'s install) it is handed back to the caller.
+fn rdcss<H: Heap>(h: &H, f: &Rdcss) -> DcssResult {
     CACHES.with(|c| {
         let arena = dcss_arena();
         let idx = arena.acquire(&c.dcss);
         let d = &arena.slots[idx as usize];
-        let s = dcss_begin(d, COND_HEAP, cond_loc, cond_exp, target_loc, exp, new);
+        let s = dcss_begin(d, f);
         let r = make_ref(TAG_DCSS, idx, s);
-        let result = dcss_install_and_complete(h, d, s, r, target_loc, exp);
+        let result = loop {
+            match h
+                .word(f.target_loc)
+                .compare_exchange(f.exp, r, Ordering::SeqCst)
+            {
+                Ok(_) => {
+                    dcss_complete(h, d, s, r, f);
+                    let out = d.outcome.load(Ordering::Acquire);
+                    debug_assert_eq!(out >> 2, s);
+                    break if out & 3 == SUCCESS {
+                        DcssResult::Success
+                    } else {
+                        DcssResult::CondFailed
+                    };
+                }
+                Err(cur) if cur & TAG_DCSS != 0 => help_dcss(h, cur),
+                Err(cur) if cur & TAG_DCAS != 0 && f.kind == COND_HEAP => help_dcas(h, cur),
+                Err(cur) => break DcssResult::TargetFailed(cur),
+            }
+        };
         dcss_end(d, s);
         arena.release(&c.dcss, idx);
         result
     })
 }
 
-fn dcss_begin(
-    d: &DcssDesc,
-    kind: u64,
-    cond_loc: u64,
-    cond_exp: u64,
-    target_loc: u64,
-    exp: u64,
-    new: u64,
-) -> u64 {
+fn dcss_begin(d: &DcssDesc, f: &Rdcss) -> u64 {
     // Descriptor setup: real shared stores in the modeled algorithm.
     charge_n(CostKind::SharedStore, 7);
     let s = d.seq.fetch_add(1, Ordering::AcqRel) + 1;
     debug_assert_eq!(s % 2, 1, "descriptor was already active");
     assert!(s < SEQ_MASK, "descriptor sequence space exhausted");
-    d.cond_kind.store(kind, Ordering::Release);
-    d.cond_loc.store(cond_loc, Ordering::Release);
-    d.cond_exp.store(cond_exp, Ordering::Release);
-    d.target_loc.store(target_loc, Ordering::Release);
-    d.exp.store(exp, Ordering::Release);
-    d.new.store(new, Ordering::Release);
+    d.cond_kind.store(f.kind, Ordering::Release);
+    d.cond_loc.store(f.cond_loc, Ordering::Release);
+    d.cond_exp.store(f.cond_exp, Ordering::Release);
+    d.target_loc.store(f.target_loc, Ordering::Release);
+    d.exp.store(f.exp, Ordering::Release);
+    d.new.store(f.new, Ordering::Release);
     d.outcome.store((s << 2) | UNDECIDED, Ordering::Release);
     s
 }
@@ -256,56 +301,27 @@ fn dcss_end(d: &DcssDesc, s: u64) {
     debug_assert_eq!(prev, s);
 }
 
-fn dcss_install_and_complete<H: Heap>(
-    h: &H,
-    d: &DcssDesc,
-    s: u64,
-    r: u64,
-    target_loc: u64,
-    exp: u64,
-) -> DcssResult {
-    loop {
-        match h.word(target_loc).compare_exchange(exp, r, Ordering::SeqCst) {
-            Ok(_) => {
-                dcss_complete(h, d, s, r);
-                let out = d.outcome.load(Ordering::Acquire);
-                debug_assert_eq!(out >> 2, s);
-                return if out & 3 == SUCCESS {
-                    DcssResult::Success
-                } else {
-                    DcssResult::CondFailed
-                };
-            }
-            Err(cur) if cur & TAG_DCSS != 0 => help_dcss(h, cur),
-            Err(cur) if cur & TAG_DCAS != 0 => help_dcas(h, cur),
-            Err(cur) => return DcssResult::TargetFailed(cur),
-        }
-    }
-}
-
 /// Decide the outcome (first completer wins) and swing the target out of
-/// descriptor state. Safe to run concurrently by owner and helpers.
-fn dcss_complete<H: Heap>(h: &H, d: &DcssDesc, s: u64, r: u64) {
-    charge_n(CostKind::SharedLoad, 5);
-    let kind = d.cond_kind.load(Ordering::Acquire);
-    let cond_loc = d.cond_loc.load(Ordering::Acquire);
-    let cond_exp = d.cond_exp.load(Ordering::Acquire);
-    let target_loc = d.target_loc.load(Ordering::Acquire);
-    let exp = d.exp.load(Ordering::Acquire);
-    let new = d.new.load(Ordering::Acquire);
+/// descriptor state. Safe to run concurrently by owner and helpers: `f`
+/// is the owner's own arguments or the fields a helper loaded from `d`.
+fn dcss_complete<H: Heap>(h: &H, d: &DcssDesc, s: u64, r: u64, f: &Rdcss) {
     if d.seq.load(Ordering::Acquire) != s {
         return; // stale helper: the owner already finished
     }
-    let cond_now = match kind {
-        COND_HEAP => h.word(cond_loc).load(Ordering::Acquire),
+    let cond_now = match f.kind {
+        COND_HEAP => h.word(f.cond_loc).load(Ordering::Acquire),
         _ => {
             charge(CostKind::SharedLoad);
-            dcas_arena().slots[cond_loc as usize]
+            dcas_arena().slots[f.cond_loc as usize]
                 .status
                 .load(Ordering::Acquire)
         }
     };
-    let proposed = if cond_now == cond_exp { SUCCESS } else { FAILED };
+    let proposed = if cond_now == f.cond_exp {
+        SUCCESS
+    } else {
+        FAILED
+    };
     charge(CostKind::Cas);
     let _ = d.outcome.compare_exchange(
         (s << 2) | UNDECIDED,
@@ -317,8 +333,10 @@ fn dcss_complete<H: Heap>(h: &H, d: &DcssDesc, s: u64, r: u64) {
     if out >> 2 != s {
         return;
     }
-    let desired = if out & 3 == SUCCESS { new } else { exp };
-    let _ = h.word(target_loc).compare_exchange(r, desired, Ordering::SeqCst);
+    let desired = if out & 3 == SUCCESS { f.new } else { f.exp };
+    let _ = h
+        .word(f.target_loc)
+        .compare_exchange(r, desired, Ordering::SeqCst);
 }
 
 /// Help the DCSS whose reference `r` was observed in a word.
@@ -334,7 +352,18 @@ fn help_dcss<H: Heap>(h: &H, r: u64) {
     if d.seq.load(Ordering::Acquire) != s {
         return; // stale: owner finished; its final CAS removed the ref
     }
-    dcss_complete(h, d, s, r);
+    // The fields may already belong to the descriptor's next RDCSS;
+    // `dcss_complete` checks the sequence again before using them.
+    charge_n(CostKind::SharedLoad, 5);
+    let f = Rdcss {
+        kind: d.cond_kind.load(Ordering::Acquire),
+        cond_loc: d.cond_loc.load(Ordering::Acquire),
+        cond_exp: d.cond_exp.load(Ordering::Acquire),
+        target_loc: d.target_loc.load(Ordering::Acquire),
+        exp: d.exp.load(Ordering::Acquire),
+        new: d.new.load(Ordering::Acquire),
+    };
+    dcss_complete(h, d, s, r, &f);
 }
 
 // ---------------------------------------------------------------------
@@ -390,9 +419,16 @@ fn dcas_execute<H: Heap>(h: &H, d: &DcasDesc, idx: u32, s: u64) -> bool {
             if st & 3 != UNDECIDED {
                 break 'install;
             }
-            let loc = d.loc[i].load(Ordering::Relaxed);
-            let exp = d.exp[i].load(Ordering::Relaxed);
-            match dcss_for_dcas(h, idx as u64, (s << 2) | UNDECIDED, loc, exp, r) {
+            // Install through an RDCSS conditioned on the status word.
+            let f = Rdcss {
+                kind: COND_DCAS_STATUS,
+                cond_loc: idx as u64,
+                cond_exp: (s << 2) | UNDECIDED,
+                target_loc: d.loc[i].load(Ordering::Relaxed),
+                exp: d.exp[i].load(Ordering::Relaxed),
+                new: r,
+            };
+            match rdcss(h, &f) {
                 DcssResult::Success => break,
                 DcssResult::CondFailed => break 'install, // status got decided
                 DcssResult::TargetFailed(cur) => {
@@ -438,46 +474,6 @@ fn dcas_execute<H: Heap>(h: &H, d: &DcasDesc, idx: u32, s: u64) -> bool {
         );
     }
     success
-}
-
-/// The RDCSS used by DCAS's install phase: condition is the DCAS
-/// descriptor's status word (must still be `(s<<2)|UNDECIDED`).
-fn dcss_for_dcas<H: Heap>(
-    h: &H,
-    dcas_idx: u64,
-    status_exp: u64,
-    target_loc: u64,
-    exp: u64,
-    new_ref: u64,
-) -> DcssResult {
-    CACHES.with(|c| {
-        let arena = dcss_arena();
-        let idx = arena.acquire(&c.dcss);
-        let d = &arena.slots[idx as usize];
-        let s = dcss_begin(d, COND_DCAS_STATUS, dcas_idx, status_exp, target_loc, exp, new_ref);
-        let r = make_ref(TAG_DCSS, idx, s);
-        let result = loop {
-            match h.word(target_loc).compare_exchange(exp, r, Ordering::SeqCst) {
-                Ok(_) => {
-                    dcss_complete(h, d, s, r);
-                    let out = d.outcome.load(Ordering::Acquire);
-                    debug_assert_eq!(out >> 2, s);
-                    break if out & 3 == SUCCESS {
-                        DcssResult::Success
-                    } else {
-                        DcssResult::CondFailed
-                    };
-                }
-                // A concurrent *other* DCSS: help it and retry. A DCAS ref
-                // is handed back to dcas_execute's outer loop.
-                Err(cur) if cur & TAG_DCSS != 0 => help_dcss(h, cur),
-                Err(cur) => break DcssResult::TargetFailed(cur),
-            }
-        };
-        dcss_end(d, s);
-        arena.release(&c.dcss, idx);
-        result
-    })
 }
 
 /// Help the DCAS whose reference `r` was observed in a word.
@@ -825,6 +821,38 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a, succ.load(Ordering::Relaxed));
         assert_eq!(a, 4_000);
+    }
+
+    #[test]
+    fn read_completes_an_installed_rdcss_from_its_descriptor() {
+        // The owner stalls right after installing its descriptor in the
+        // target; `read` on the target helps it with the fields it loads
+        // from the descriptor alone. The target ends at `new` when the
+        // condition holds and at `exp` when it does not.
+        for (cond, want, outcome) in [(10, 21, SUCCESS), (11, 20, FAILED)] {
+            let h = TestHeap::new(2);
+            h.words[0].store(cond, Ordering::Release);
+            h.words[1].store(20, Ordering::Release);
+            let f = Rdcss {
+                kind: COND_HEAP,
+                cond_loc: 0,
+                cond_exp: 10,
+                target_loc: 1,
+                exp: 20,
+                new: 21,
+            };
+            CACHES.with(|c| {
+                let arena = dcss_arena();
+                let idx = arena.acquire(&c.dcss);
+                let d = &arena.slots[idx as usize];
+                let s = dcss_begin(d, &f);
+                assert!(h.words[1].cas(20, make_ref(TAG_DCSS, idx, s)));
+                assert_eq!(read(&h, 1), want, "condition word {cond}");
+                assert_eq!(d.outcome.load(Ordering::Acquire), (s << 2) | outcome);
+                dcss_end(d, s);
+                arena.release(&c.dcss, idx);
+            });
+        }
     }
 
     #[test]

@@ -37,6 +37,7 @@ use pto_msqueue::MsQueue;
 use pto_sim::cost::CostProfile;
 use pto_sim::rng::XorShift64;
 use pto_sim::{CostKind, Sim};
+use pto_skiplist::SkipListSet;
 use std::sync::Mutex;
 
 /// The orec table, the version clock and the epoch are process-wide:
@@ -154,6 +155,12 @@ fn lane_private_64(profile: CostProfile) -> u64 {
 /// exercises txn read/write sets, commit locking, pool alloc/retire, and
 /// the 1-lane gate path.
 fn set_workload(s: &impl ConcurrentSet, ops: u64, range: u64, seed: u64) -> u64 {
+    set_prefill(s, range, seed);
+    set_ops(s, ops, range, seed)
+}
+
+/// Fill `s` with `range / 2` distinct keys below `range`.
+fn set_prefill(s: &impl ConcurrentSet, range: u64, seed: u64) {
     let mut prefill_rng = XorShift64::new(seed ^ 0xDEAD_BEEF);
     let mut inserted = 0;
     while inserted < range / 2 {
@@ -161,6 +168,11 @@ fn set_workload(s: &impl ConcurrentSet, ops: u64, range: u64, seed: u64) -> u64 
             inserted += 1;
         }
     }
+}
+
+/// The measured half of [`set_workload`]: `ops` ops on one lane, 34%
+/// lookups and the rest split evenly between inserts and removes.
+fn set_ops(s: &impl ConcurrentSet, ops: u64, range: u64, seed: u64) -> u64 {
     pto_sim::clock::reset();
     let out = Sim::new(1).run(|_| {
         let mut rng = XorShift64::new(seed.wrapping_add(1));
@@ -177,6 +189,21 @@ fn set_workload(s: &impl ConcurrentSet, ops: u64, range: u64, seed: u64) -> u64 
         }
     });
     out.makespan
+}
+
+/// The setbench loop over a skiplist. Tower heights come from
+/// [`pto_sim::rng::lane_draw`], so the prefill runs on a freshly spawned
+/// thread for the reason [`mound_workload`] gives; the measured ops draw
+/// from lane 0's stream of a fresh `Sim`, which repeats on every run.
+fn skiplist_workload(s: &SkipListSet) -> u64 {
+    let inherited = pto_sim::ctx::capture();
+    std::thread::scope(|sc| {
+        sc.spawn(|| {
+            pto_sim::ctx::adopt(&inherited);
+            set_prefill(s, 128, 42);
+        });
+    });
+    set_ops(s, 400, 128, 42)
 }
 
 /// 1-lane mbench-style arrive/depart pairs on a `Quiescence` structure.
@@ -546,7 +573,12 @@ const GOLDEN_BST_ADAPTIVE: Golden = (104840, 499, 499, 0, 0, 0, 0, 0);
 // loads per level instead of 4. `LockFree` re-pinned (172107 → 171579,
 // HTM columns unchanged) when `help_delete` began testing the word its
 // MARK CAS returned instead of loading the parent's update word again.
-const GOLDEN_BST_LOCKFREE: Golden = (171579, 0, 0, 0, 0, 0, 0, 0);
+// Re-pinned (171579 → 163479, HTM columns unchanged) when the owner of an
+// `Info` began passing its fields to the code that completes its op
+// instead of loading them back, and the never-read `kind` field went: the
+// workload's 71 inserts each drop 4 loads and 1 store (36 cycles), its
+// 66 removes 10 loads and 1 store (84): 71 × 36 + 66 × 84 = 8,100.
+const GOLDEN_BST_LOCKFREE: Golden = (163479, 0, 0, 0, 0, 0, 0, 0);
 const GOLDEN_BST_PTO1: Golden = (104840, 499, 499, 0, 0, 0, 0, 0);
 const GOLDEN_BST_PTO2: Golden = (139290, 201, 201, 0, 0, 0, 0, 0);
 const GOLDEN_BST_PTO1PTO2: Golden = (104840, 499, 499, 0, 0, 0, 0, 0);
@@ -554,7 +586,11 @@ const GOLDEN_BST_PTO1PTO2: Golden = (104840, 499, 499, 0, 0, 0, 0, 0);
 // aborts are delete attempts until each site enters its Capacity regime,
 // plus that regime's periodic probes. Re-pinned (161024 → 141736 →
 // 141208, HTM columns unchanged) with the leaf bit and `help_delete` above.
-const GOLDEN_BST_CAPACITY: Golden = (141208, 398, 381, 0, 17, 0, 0, 0);
+// Re-pinned (141208 → 135136, HTM columns unchanged) with the owner's
+// fields above: each of the 66 removes ends in the lock-free delete, which
+// drops its 10 `Info` loads, the `kind` store and the leaf-key load the
+// PTO2 preamble already made (11 × 8 + 4 = 92 cycles): 66 × 92 = 6,072.
+const GOLDEN_BST_CAPACITY: Golden = (135136, 398, 381, 0, 17, 0, 0, 0);
 // The hash table variants. The explicit aborts are help-aborts on buckets
 // that the prefill's resizes left unmigrated or frozen, plus, in place, on
 // first inserts into NIL buckets. `Pto` is repeatable since its
@@ -570,8 +606,18 @@ const GOLDEN_MIDDLE_PATH_WORD: Golden = (4418, 82, 40, 2, 0, 0, 0, 40);
 // when inserts began handing the words their binary search read to the
 // root CAS or the DCSS, and moundify began carrying the word its DCAS
 // wrote into the child: the same 15,288 cycles fewer on both variants.
-const GOLDEN_MOUND_LOCKFREE: Golden = (426773, 0, 0, 0, 0, 0, 0, 0);
+// `LockFree` re-pinned (426773 → 363493, HTM columns unchanged) when the
+// owner of an RDCSS began completing it with its own arguments instead of
+// loading its descriptor's fields back: 1,582 owner completions × 5
+// `SharedLoad`s × 8 cycles = 63,280. The PTO Mound takes no fallback on
+// one lane, so it runs no software RDCSS.
+const GOLDEN_MOUND_LOCKFREE: Golden = (363493, 0, 0, 0, 0, 0, 0, 0);
 const GOLDEN_MOUND_PTO: Golden = (158877, 1112, 1112, 0, 0, 0, 0, 0);
+// The skiplist variants on the setbench loop (128 keys, 400 ops, seed 42).
+// The PTO variant's 201 prefixes are its updates' link and mark
+// superblocks; lookups run no transaction.
+const GOLDEN_SKIPLIST_LOCKFREE: Golden = (279936, 0, 0, 0, 0, 0, 0, 0);
+const GOLDEN_SKIPLIST_PTO: Golden = (279434, 201, 201, 0, 0, 0, 0, 0);
 // Composed goldens (PR 10): recorded on the tree that introduced
 // `pto_core::compose`; regenerate with PTO_GOLDEN_PRINT=1 if the compose
 // wrapper's charged costs change on purpose. Re-pinned (47108 → 42900,
@@ -761,6 +807,24 @@ fn golden_mound_variants_1lane() {
         let got = measure(|| mound_workload(&new(10)));
         check(name, got, want);
         let again = measure(|| mound_workload(&new(10)));
+        assert_eq!(got, again, "{name} workload is not deterministic");
+    }
+}
+
+#[test]
+fn golden_skiplist_variants_1lane() {
+    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    for (new, name, want) in [
+        (
+            SkipListSet::new_lockfree as fn() -> SkipListSet,
+            "skiplist_lockfree",
+            GOLDEN_SKIPLIST_LOCKFREE,
+        ),
+        (SkipListSet::new_pto, "skiplist_pto", GOLDEN_SKIPLIST_PTO),
+    ] {
+        let got = measure(|| skiplist_workload(&new()));
+        check(name, got, want);
+        let again = measure(|| skiplist_workload(&new()));
         assert_eq!(got, again, "{name} workload is not deterministic");
     }
 }
